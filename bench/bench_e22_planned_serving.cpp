@@ -9,14 +9,14 @@
 // more ports per round, while planned reads inject only the quorum the rule
 // needs:
 //
-//   * baseline — the PR 9 stack: combining composition, quorum planner OFF,
-//     plan-aware composition OFF. Every read attacks all r copies and the
-//     butterfly re-derives each cycle's winner set by arbitration replay.
+//   * baseline — the PR 9 stack: combining composition, quorum planner OFF
+//     (the identity plan), plan-aware composition OFF. Every read attacks
+//     all r copies.
 //   * planned — the full §15 pipeline: the engine planner narrows reads to
-//     their q-copy target sets (BatchPlan), the admission scheduler scores
-//     slot placement against per-batch module-load models (plan-aware
-//     composition), and the machine routes the plan-derived winner set
-//     (plan-priced routing, Machine::beginPlannedWire).
+//     their q-copy target sets (BatchPlan), and the admission scheduler
+//     scores slot placement against per-batch module-load models
+//     (plan-aware composition).
+// Both route each cycle's winner set read off the response flags.
 //
 // Gates (exit code 1 on violation):
 //   * transparency: a skewed no-shed trace replayed baseline and planned

@@ -10,6 +10,11 @@ instead of spread across the artifact files.
 Usage: scripts/bench_summary.py [dir]    (default: repo root = script/..)
 Exit code 1 if any gate in any artifact failed, 0 otherwise.
 
+An artifact whose gates all pass but whose gated-row count (a gate named
+*rows*, e.g. stream_scaling_rows) is zero reports `vacuous (<key>=0)`
+instead of `pass`: its gate judged nothing. Vacuous rows do not change the
+exit code.
+
 Stdlib only (json/glob); tolerant of per-experiment schema differences:
 gates may be an object of named values (e13..e20) or a list of
 {name, value, floor, pass} rows (e21+); booleans render as PASS/FAIL.
@@ -43,6 +48,21 @@ def gate_entries(gates):
             text = f"{fmt_num(g.get('value'))}/{fmt_num(g.get('floor'))}"
             out.append((name, text, ok))
     return out
+
+
+def zero_row_count(gates):
+    """Name of a gated-row count that is zero (the gates judged no rows)."""
+    if isinstance(gates, dict):
+        pairs = gates.items()
+    elif isinstance(gates, list):
+        pairs = ((g.get("name", "?"), g.get("value")) for g in gates)
+    else:
+        return None
+    for name, value in pairs:
+        if ("rows" in name and isinstance(value, (int, float))
+                and not isinstance(value, bool) and value == 0):
+            return name
+    return None
 
 
 def headline(data):
@@ -79,8 +99,15 @@ def main():
         fails = [name for name, _, ok in gates if ok is False]
         any_fail = any_fail or bool(fails)
         gate_text = " ".join(f"{name}={text}" for name, text, _ in gates)
-        status = "FAIL: " + ",".join(fails) if fails else (
-            "pass" if gates else "-")
+        vacuous = zero_row_count(data.get("gates"))
+        if fails:
+            status = "FAIL: " + ",".join(fails)
+        elif not gates:
+            status = "-"
+        elif vacuous:
+            status = f"vacuous ({vacuous}=0)"
+        else:
+            status = "pass"
         rows.append((data.get("experiment", path.stem),
                      data.get("title", ""),
                      " ".join(x for x in (headline(data), gate_text) if x),

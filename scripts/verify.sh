@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge verify: tier-1 (full suite, release) + sanitized fault/recovery
-# suite (ASan + UBSan). Usage: scripts/verify.sh [--full-asan]
+# suite (ASan + UBSan) + race check (ThreadSanitizer, `tsan`-labelled
+# suites). Usage: scripts/verify.sh [--full-asan]
 #   default:     tier-1 everything, sanitized `faults`-labelled tests
 #   --full-asan: tier-1 everything, sanitized everything
 set -euo pipefail
@@ -29,5 +30,10 @@ echo "== sanitized: configure + build + ctest (preset: ${asan_preset}) =="
 cmake --preset asan
 cmake --build --preset asan
 ctest --preset "${asan_preset}"
+
+echo "== race check: ThreadSanitizer over the multi-threaded suites (preset: tsan) =="
+cmake --preset tsan
+cmake --build --preset tsan
+ctest --preset tsan
 
 echo "verify: all green"

@@ -90,10 +90,10 @@ class Interconnect {
   virtual net::RoutingStats routeWinners(
       const std::vector<GrantLink>& winners) = 0;
 
-  /// Planner hand-off (Machine::beginPlannedWire): the upcoming batch's wire
-  /// summary. Purely advisory — backends may pre-size delivery scratch from
-  /// it, but routing cost must stay a pure function of the winner sets
-  /// actually routed. Default: ignore.
+  /// Plan hand-off (Machine::announcePlan, once per protocol batch): the
+  /// upcoming batch's wire summary. Purely advisory — backends may pre-size
+  /// delivery scratch from it, but routing cost must stay a pure function of
+  /// the winner sets actually routed. Default: ignore.
   virtual void onPlan(const WirePlan& plan) { (void)plan; }
 };
 

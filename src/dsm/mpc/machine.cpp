@@ -80,56 +80,21 @@ void Machine::setInterconnect(std::unique_ptr<Interconnect> backend) {
                  : nullptr;
 }
 
-void Machine::beginPlannedWire(const WirePlan& plan) {
-  wire_plan_ = plan;
-  wire_plan_active_ = true;
+void Machine::announcePlan(const WirePlan& plan) {
   if (network_ != nullptr) network_->onPlan(plan);
 }
 
 void Machine::routeCycleWinners(const std::vector<Request>& requests,
                                 const std::vector<Response>& responses) {
-  // Derive this cycle's post-arbitration winner set: at most one winner
-  // per non-failed module, including winners whose grant the FaultPlan's
-  // drop noise then lost (the port was consumed and the packet crossed the
-  // network; only the reply vanished).
-  const std::size_t n = requests.size();
+  // At most one winner per live module: every cycle path sets granted or
+  // dropped exactly on the arbitration winner at a live module (losers and
+  // failed-module requests clear both). Winners surface in wire order, so
+  // packet injection order — and therefore the butterfly's FIFO tie-breaks
+  // — is a pure function of the wire, independent of the thread count.
   winners_.clear();
-  if (wire_plan_active_) {
-    // Plan-priced path: the access sweep already decided every winner and
-    // recorded it in the response flags — a request at a live module holds
-    // granted or dropped iff it won arbitration (losers and failed-module
-    // requests clear both). One pass in wire order, no arbitration replay;
-    // bit-identical winner set and injection order to the plan-off branch.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (responses[i].granted || responses[i].dropped) {
-        winners_.push_back(GrantLink{requests[i].processor,
-                                     requests[i].module});
-      }
-    }
-  } else {
-    // Plan-off (and oracle) path: replay arbitration over the arb_ scratch —
-    // every step path leaves it fully reset, and this pass resets what it
-    // touches the same winner-owned way.
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = requests[i];
-      const std::size_t m = static_cast<std::size_t>(r.module);
-      if (failed_[m]) continue;
-      const std::uint64_t key = arbKey(r.processor, i);
-      if (key < arb_[m].load(std::memory_order_relaxed)) {
-        arb_[m].store(key, std::memory_order_relaxed);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = requests[i];
-      const std::size_t m = static_cast<std::size_t>(r.module);
-      if (failed_[m]) continue;
-      if (arb_[m].load(std::memory_order_relaxed) == arbKey(r.processor, i)) {
-        // Winners surface in wire order, so packet injection order — and
-        // therefore the butterfly's FIFO tie-breaks — is a pure function of
-        // the wire, independent of the machine's thread count.
-        winners_.push_back(GrantLink{r.processor, r.module});
-        arb_[m].store(kNoWinner, std::memory_order_relaxed);
-      }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (responses[i].granted || responses[i].dropped) {
+      winners_.push_back(GrantLink{requests[i].processor, requests[i].module});
     }
   }
   const net::RoutingStats stats = network_->routeWinners(winners_);

@@ -63,8 +63,12 @@
 // untouched, with no winner collection and no virtual dispatch. A routed
 // backend (ButterflyInterconnect) receives each cycle's post-arbitration
 // winner set AFTER the access sweep and folds the bounded-degree delivery
-// cost into the network* metrics. Routing never changes responses or cell
-// state — it prices the cycle, the paper's "request routing problem".
+// cost into the network* metrics. Every cycle path (step's three and
+// stepReference) leaves the winners in the response flags — a request holds
+// granted or dropped iff it won arbitration at a live module — so the
+// winner set is read straight off them, one pass in wire order. Routing
+// never changes responses or cell state — it prices the cycle, the paper's
+// "request routing problem".
 #pragma once
 
 #include <atomic>
@@ -290,19 +294,11 @@ class Machine {
   /// True when a non-zero-cost backend is routing cycles.
   bool networkActive() const noexcept { return network_ != nullptr; }
 
-  /// Installs the planner's wire summary for the steps that follow (see
-  /// wire_plan.hpp). While installed, the routed-backend epilogue derives
-  /// the winner set directly from the response flags the access sweep just
-  /// wrote — one pass, no arbitration replay — which is bit-identical to
-  /// the legacy re-derivation (a request holds granted or dropped iff it
-  /// won arbitration at a live module). The plan is also forwarded to a
-  /// routing backend so it can pre-size its delivery scratch. No-op effect
-  /// on responses, cells and metrics values; endPlannedWire() restores the
-  /// plan-off epilogue. Callers pair the two around each planned batch
-  /// (RAII in the engines), so oracle paths always run plan-off.
-  void beginPlannedWire(const WirePlan& plan);
-  void endPlannedWire() noexcept { wire_plan_active_ = false; }
-  bool wirePlanActive() const noexcept { return wire_plan_active_; }
+  /// Forwards the upcoming batch's wire summary (see wire_plan.hpp) to a
+  /// routed backend's Interconnect::onPlan so it can pre-size its delivery
+  /// scratch. Stateless: the machine keeps nothing, and responses, cells
+  /// and metrics are unaffected. No-op without a routed backend.
+  void announcePlan(const WirePlan& plan);
 
   const MachineMetrics& metrics() const noexcept { return metrics_; }
   void resetMetrics() noexcept { metrics_ = {}; }
@@ -332,16 +328,11 @@ class Machine {
   /// nonempty, module_count_ < requests.size(), pool would fork.
   void stepSharded(const std::vector<Request>& requests,
                    std::vector<Response>& responses);
-  /// Routed-backend epilogue: derives the cycle's winner set (including
-  /// winners whose grant the drop noise lost — their packet crossed the
-  /// network) and hands it to the installed backend. With a wire plan
-  /// installed the winners are read straight off the response flags
-  /// (granted || dropped) in one pass; otherwise the legacy two-pass
-  /// arbitration replay runs. Serial O(wire); only a non-zero-cost
-  /// interconnect ever pays it. Precondition: every request validated (the
-  /// step paths throw before getting here otherwise), responses complete
-  /// for this cycle, and the arb_ scratch fully reset — which each path
-  /// guarantees.
+  /// Routed-backend epilogue: reads the cycle's winner set off the response
+  /// flags (granted || dropped — winners whose grant the drop noise lost
+  /// still crossed the network) in wire order and hands it to the installed
+  /// backend. Serial O(wire); only a non-zero-cost interconnect ever pays
+  /// it. Precondition: responses complete for this cycle.
   void routeCycleWinners(const std::vector<Request>& requests,
                          const std::vector<Response>& responses);
 
@@ -405,8 +396,6 @@ class Machine {
   std::unique_ptr<Interconnect> interconnect_;
   Interconnect* network_ = nullptr;
   std::vector<GrantLink> winners_;  // per-cycle winner scratch (routed only)
-  WirePlan wire_plan_{};            // planner hand-off (see wire_plan.hpp)
-  bool wire_plan_active_ = false;
   ThreadPool pool_;
 };
 

@@ -4,13 +4,11 @@
 // The plan module sits above the machine (it needs the scheme's addressing),
 // so the full BatchPlan cannot cross into dsm_mpc without a dependency
 // cycle. This tiny POD is the hand-off: the engine derives it from the
-// current batch's BatchPlan and installs it around the batch's wire rounds
-// (Machine::beginPlannedWire / endPlannedWire). While installed, the machine
-// derives each cycle's winner set straight from the response flags — the
-// plan already decided who fires, so the port-consumed flags ARE the winner
-// set — and a routed interconnect may pre-size its packet scratch from the
-// planned wire volume. Responses, cell state and every network metric stay
-// bit-identical to the plan-off re-derivation (pinned by differential test).
+// current batch's BatchPlan and announces it once before the batch's wire
+// rounds (Machine::announcePlan), which forwards it to a routed backend's
+// Interconnect::onPlan so it can pre-size its packet scratch from the
+// planned wire volume. Advisory only: the machine keeps no plan state, and
+// responses, cell state and every network metric are independent of it.
 #pragma once
 
 #include <cstdint>

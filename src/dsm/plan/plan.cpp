@@ -56,6 +56,20 @@ void BatchPlan::build(const scheme::PhysicalAddress* copies, std::size_t r,
   planned = true;
 }
 
+void BatchPlan::identity(std::size_t b, std::size_t r) {
+  DSM_CHECK_MSG(r <= 0xFFFF, "copy count too large for plan ranks: " << r);
+  order.resize(b * r);
+  for (std::size_t i = 0; i < b; ++i) {
+    for (std::size_t k = 0; k < r; ++k) {
+      order[i * r + k] = static_cast<std::uint16_t>(k);
+    }
+  }
+  count.assign(b, static_cast<std::uint16_t>(r));
+  wireSavings = 0;
+  maxPlannedLoad = 0;
+  planned = false;
+}
+
 void BatchPlan::initTargets(const std::uint16_t* order,
                             std::uint16_t planned_count,
                             const std::uint8_t* dead, unsigned quorum,

@@ -15,14 +15,16 @@
 //     composition, replaying the engine's greedy rule as it places slots so
 //     its prediction of each batch's plan is exact (§15 invariant).
 //   * BatchPlan — one batch's quorum plan: per-request target ranks in
-//     deterministic escalation order, produced at prepare time by build()
-//     (the greedy balanced-assignment sweep, verbatim the PR 9 rule) and
-//     consumed by the engines' wire loops. The escalation bookkeeping
-//     (initTargets / escalateUntilQuorum / openOneSpare) lives here too, so
-//     both engines share one implementation of the open-rank invariant.
+//     deterministic escalation order, produced at prepare time — by build()
+//     (the greedy balanced-assignment sweep, verbatim the PR 9 rule) with
+//     the planner on, by identity() (all r copies in copy order) with it
+//     off — and consumed by the engines' one wire loop. The escalation
+//     bookkeeping (initTargets / escalateUntilQuorum / openOneSpare) lives
+//     here too, so both engines share one implementation of the open-rank
+//     invariant.
 //   * WirePlan (mpc/wire_plan.hpp) — the downward summary BatchPlan::wire()
-//     derives for Machine::beginPlannedWire, letting the butterfly route the
-//     planned winner set instead of re-deriving it.
+//     derives for Machine::announcePlan, an advisory hint a routed backend
+//     may pre-size its delivery scratch from.
 //
 // Everything here is a pure function of (batch, resolved copies): no clock,
 // no RNG, no thread count — the properties every determinism gate in the
@@ -93,12 +95,17 @@ class ModuleLoadModel {
 /// deterministic (coldest-first) escalation order. count[i] is readQuorum()
 /// for reads and r for writes — writes keep their full attack; their
 /// permutation is the congestion-interleaved order.
+///
+/// The identity plan (identity()) is the planner-off form: every request
+/// opens all r ranks in copy order, so no rank is ever a spare and no
+/// escalation can fire — exactly the "attack every copy" protocol, run by
+/// the same wire loop as a built plan.
 struct BatchPlan {
   std::vector<std::uint16_t> order;
   std::vector<std::uint16_t> count;
   std::uint64_t wireSavings = 0;     ///< sum of r - count[i]
   std::uint64_t maxPlannedLoad = 0;  ///< greedy sweep's achieved bottleneck
-  bool planned = false;              ///< order/count valid for this batch
+  bool planned = false;              ///< built by build(), not identity()
 
   /// The greedy balanced-assignment sweep: requests in batch order, each
   /// picking its copies one at a time — each time the copy whose module
@@ -112,12 +119,28 @@ struct BatchPlan {
   void build(const scheme::PhysicalAddress* copies, std::size_t r,
              ModuleLoadModel& model);
 
-  /// The downward summary handed to Machine::beginPlannedWire.
+  /// Fills the identity plan for `b` requests of `r` copies: order
+  /// 0..r-1 per request, count r, zero savings and planned load.
+  void identity(std::size_t b, std::size_t r);
+
+  /// First rank a one-message-per-round owner tries for a request whose
+  /// `open` ranks are open, staggered by `stagger` (request index plus
+  /// round). The identity plan rotates every request, so identical-copy-set
+  /// requests spread their attempts; a built plan walks reads from rank 0 —
+  /// the primary target is attacked persistently, spares only once
+  /// escalation opened them — and keeps the rotation for writes, in rank
+  /// space.
+  std::size_t startRank(bool read, std::size_t stagger,
+                        std::size_t open) const noexcept {
+    return planned && read ? 0 : stagger % open;
+  }
+
+  /// The downward summary handed to Machine::announcePlan.
   mpc::WirePlan wire(std::size_t r) const noexcept {
     return mpc::WirePlan{count.size() * r - wireSavings, maxPlannedLoad};
   }
 
-  /// Planner-on phase init for one request (after the engine premarked
+  /// Phase init for one request (after the engine premarked
   /// known-dead copies, before its first transition): counts the live ranks
   /// of the planned prefix and escalates past premarked-dead targets until
   /// `quorum` live ranks are open or the spares are exhausted. `order` and

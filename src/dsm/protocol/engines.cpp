@@ -193,11 +193,16 @@ void EngineBase::prepare(const std::vector<AccessRequest>& batch,
   // clock so later batches always stamp strictly newer.
   ++clock_;
   // Quorum plan, riding the prepare (and therefore the prefetch pipeline)
-  // for free: a pure function of the batch and its resolved copies.
+  // for free: a pure function of the batch and its resolved copies. Every
+  // batch carries a valid plan — the greedy one with the planner on, the
+  // identity plan (attack all r copies in copy order) otherwise.
+  const std::size_t r = scheme_.copiesPerVariable();
+  probe(prep.plan.order.capacity(), b * r);
+  probe(prep.plan.count.capacity(), b);
   if (planner_enabled_ && plannerSupported()) {
     planBatch(batch, prep);
   } else {
-    prep.plan.planned = false;
+    prep.plan.identity(b, r);
   }
 }
 
@@ -205,8 +210,6 @@ void EngineBase::planBatch(const std::vector<AccessRequest>& batch,
                            PreparedBatch& prep) {
   const std::size_t b = batch.size();
   const std::size_t r = scheme_.copiesPerVariable();
-  if (prep.plan.order.capacity() >= b * r) ++prep.allocationsAvoided;
-  if (prep.plan.count.capacity() >= b) ++prep.allocationsAvoided;
   prep.plan.count.resize(b);
   for (std::size_t i = 0; i < b; ++i) {
     // Reads target a read quorum; writes keep their full r-copy attack but
@@ -220,14 +223,6 @@ void EngineBase::planBatch(const std::vector<AccessRequest>& batch,
   // ModuleLoadModel is the histogram, sparse-reset per batch inside build.
   plan_model_.ensure(scheme_.numModules());
   prep.plan.build(prep.copies.data(), r, plan_model_);
-}
-
-void EngineBase::initPlanTargets(const PreparedBatch& prep, std::size_t a,
-                                 std::size_t req, std::size_t r) {
-  plan::BatchPlan::initTargets(&prep.plan.order[req * r],
-                               prep.plan.count[req], &dead_[a * r],
-                               quorum_[a], r, target_count_[a],
-                               live_targets_[a]);
 }
 
 void EngineBase::beginBatch(const PreparedBatch& prep,
@@ -256,17 +251,12 @@ void EngineBase::beginBatch(const PreparedBatch& prep,
   probe(ts_seen_.capacity(), b);
   probe(acked_.capacity(), b);
   probe(lost_.capacity(), b);
+  probe(target_count_.capacity(), b);
+  probe(live_targets_.capacity(), b);
   metrics_.allocationsAvoided += prep.allocationsAvoided;
   metrics_.addrSeconds += prep.addrSeconds;
-  // The planner flag travels with the prepared batch (prepare sampled it),
-  // so a toggle mid-stream can never tear a batch between modes.
-  plan_active_ = prep.plan.planned;
-  if (prep.plan.planned) {
-    probe(target_count_.capacity(), b);
-    probe(live_targets_.capacity(), b);
-    metrics_.maxPlannedModuleLoad =
-        std::max(metrics_.maxPlannedModuleLoad, prep.plan.maxPlannedLoad);
-  }
+  metrics_.maxPlannedModuleLoad =
+      std::max(metrics_.maxPlannedModuleLoad, prep.plan.maxPlannedLoad);
   // The dead-module memo is per batch: modules may heal between batches, so
   // each batch rediscovers honestly.
   module_dead_.resize(static_cast<std::size_t>(scheme_.numModules()), 0);
@@ -289,10 +279,6 @@ void EngineBase::resetPhaseState(std::size_t count, std::size_t r) {
   state_.assign(count, kStateAcquire);
   final_op_.assign(count, static_cast<std::uint8_t>(mpc::Op::kRead));
   quorum_.resize(count);
-  if (plan_active_) {
-    target_count_.assign(count, 0);
-    live_targets_.assign(count, 0);
-  }
 }
 
 void EngineBase::premarkKnownDeadCopies(const PreparedBatch& prep,
@@ -408,10 +394,6 @@ void EngineBase::finishPhase(const PreparedBatch& prep, std::size_t count,
       result.unsatisfiable.push_back(req);
       ++fm.unsatisfiable;
     }
-    if (prep.plan.planned) {
-      metrics_.plannedWireSavings += r - target_count_[a];
-      metrics_.escalations += target_count_[a] - prep.plan.count[req];
-    }
   }
 }
 
@@ -431,23 +413,9 @@ void EngineBase::finishBatch(std::size_t batch_size) {
 AccessResult EngineBase::runPrepared(const std::vector<AccessRequest>& batch,
                                      const PreparedBatch& prep) {
   const std::uint64_t net_before = machine_.metrics().networkCycles;
-  // Downward hand-off of the quorum plan (DESIGN.md §15): with a plan
-  // installed the machine derives each cycle's winner set straight from the
-  // response flags instead of re-arbitrating, and a routed backend may
-  // pre-size from the planned wire volume. Guarded so a throwing wire round
-  // (machine precondition failure) never strands a plan on the machine —
-  // the engine must stay safe and reusable per the executeStream contract.
-  struct PlanScope {
-    mpc::Machine* machine = nullptr;
-    ~PlanScope() {
-      if (machine != nullptr) machine->endPlannedWire();
-    }
-  } scope;
-  if (prep.plan.planned && machine_.networkActive()) {
-    machine_.beginPlannedWire(
-        prep.plan.wire(scheme_.copiesPerVariable()));
-    scope.machine = &machine_;
-  }
+  // Downward hand-off of the quorum plan (DESIGN.md §15): a routed backend
+  // may pre-size its delivery scratch from the planned wire volume.
+  machine_.announcePlan(prep.plan.wire(scheme_.copiesPerVariable()));
   AccessResult result = executePrepared(batch, prep);
   result.networkCycles = machine_.metrics().networkCycles - net_before;
   metrics_.networkCycles += result.networkCycles;
@@ -546,74 +514,163 @@ std::vector<AccessResult> EngineBase::executeStream(
   return results;
 }
 
-AccessResult MajorityEngine::executePrepared(
-    const std::vector<AccessRequest>& batch, const PreparedBatch& prep) {
-  AccessResult result;
-  result.values.assign(batch.size(), 0);
+bool EngineBase::scanReply(const PreparedBatch& prep, std::size_t a,
+                           std::size_t req, std::size_t j,
+                           const mpc::Response& reply, bool finalizing,
+                           bool read, std::size_t r) {
+  const std::size_t c = a * r + j;
+  if (reply.moduleFailed) {
+    bool opened = false;
+    if (!dead_[c]) {
+      dead_[c] = 1;
+      ++dead_count_[a];
+      if (!finalizing) {
+        // An open rank died (acquire entries only ever target open ranks):
+        // escalate one spare at a time until a quorum is reachable again or
+        // the spares run out — transitionAfterScan then rules the request
+        // unsatisfiable. The identity plan has no spares, so it never opens.
+        --live_targets_[a];
+        opened = plan::BatchPlan::escalateUntilQuorum(
+            &prep.plan.order[req * r], &dead_[a * r], quorum_[a], r,
+            target_count_[a], live_targets_[a]);
+      }
+    }
+    if (finalizing && pending_[c]) {
+      pending_[c] = 0;
+      --pending_count_[a];
+      ++lost_[a];
+    }
+    return opened;
+  }
+  if (!reply.granted) {
+    if (!finalizing && reply.dropped && target_count_[a] < r) {
+      // FaultPlan drop noise denied an open rank: open ONE spare to route
+      // around the lossy module. The dropped copy stays open (it may still
+      // be granted later). Deterministic — drops are a pure function of
+      // (seed, cycle, module).
+      plan::BatchPlan::openOneSpare(&prep.plan.order[req * r], &dead_[a * r],
+                                    target_count_[a], live_targets_[a]);
+      return true;
+    }
+    return false;
+  }
+  if (finalizing) {
+    pending_[c] = 0;
+    --pending_count_[a];
+    ++acked_[a];
+    return false;
+  }
+  accessed_[c] = 1;
+  ++done_[a];
+  if (read) {
+    ts_seen_[c] = reply.timestamp;
+    fresh_[req].offer(reply.timestamp, reply.value);
+  }
+  return false;
+}
+
+namespace {
+
+// Round-driver policies (EngineBase::runBatch). kWholeSegment: a live
+// request fires every open untried rank (acquire) or every pending copy
+// (finalize) each round, and a segment whose state did not change is
+// copied forward from the previous round's wire; otherwise it fires ONE
+// message per round, picked round-robin, and is refilled every round.
+
+/// Section 3: r phases; cluster i's processor i*r + j owns copy j of the
+/// phase's request; intra-cluster coordination costs 1 + ceil(log2 r) per
+/// round.
+struct ClusterPolicy {
+  static constexpr bool kWholeSegment = true;
+  static std::size_t phases(std::size_t r) { return r; }
+  static std::uint32_t processor(std::size_t req, std::size_t j,
+                                 std::size_t r) {
+    return static_cast<std::uint32_t>((req / r) * r + j);
+  }
+  static std::uint64_t coordCost(std::size_t r) {
+    return 1 + static_cast<std::uint64_t>(util::ceilLog2(r));
+  }
+};
+
+/// MV84: processor i owns request i outright, one message per round.
+struct OwnerPolicy {
+  static constexpr bool kWholeSegment = false;
+  static std::size_t phases(std::size_t /*r*/) { return 1; }
+  static std::uint32_t processor(std::size_t req, std::size_t /*j*/,
+                                 std::size_t /*r*/) {
+    return static_cast<std::uint32_t>(req);
+  }
+  static std::uint64_t coordCost(std::size_t /*r*/) { return 1; }
+};
+
+}  // namespace
+
+template <class Policy>
+AccessResult EngineBase::runBatch(const std::vector<AccessRequest>& batch,
+                                  const PreparedBatch& prep) {
+  constexpr bool kWhole = Policy::kWholeSegment;
   mpc::ThreadPool& pool = machine_.pool();
-
-  const std::size_t r = scheme_.copiesPerVariable();  // cluster size
-  const std::size_t clusters = (batch.size() + r - 1) / r;
-  const int coord_cost = 1 + util::ceilLog2(r);
-  const int addr_cost = util::ceilLog2(scheme_.numModules());
-
+  const std::size_t r = scheme_.copiesPerVariable();
+  const std::uint64_t addr_cost =
+      static_cast<std::uint64_t>(util::ceilLog2(scheme_.numModules()));
+  AccessResult result;
   fresh_.assign(batch.size(), Freshest{});
-
-  // Phase k: cluster i serves batch request i*r + k. Processor (i, j) — the
-  // global id i*r + j — owns copy j of that variable.
-  for (std::size_t k = 0; k < r; ++k) {
+  // Phase k serves batch requests k, k + P, k + 2P, ... with P =
+  // Policy::phases(r): cluster i's request i*r + k (Majority), or the whole
+  // batch in one phase (SingleOwner).
+  const std::size_t phases = Policy::phases(r);
+  for (std::size_t k = 0; k < phases; ++k) {
     active_.clear();
-    for (std::size_t i = 0; i < clusters; ++i) {
-      const std::size_t req = i * r + k;
-      if (req < batch.size()) active_.push_back(req);
+    for (std::size_t req = k; req < batch.size(); req += phases) {
+      active_.push_back(req);
     }
-    if (active_.empty()) {
-      result.phaseIterations.push_back(0);
-      result.liveTrajectory.emplace_back();
-      continue;
+    const std::size_t count = active_.size();
+
+    // accessed_[a*r + j]: copy j of active request a granted already.
+    // dead_[a*r + j]: copy j's module is failed — never retried; a request
+    // whose live copies cannot reach the quorum is unsatisfiable. Modules
+    // seen dead in an earlier phase of this batch are premarked, so such a
+    // request may be unsatisfiable before its first wire round (its phase may
+    // then run zero iterations).
+    resetPhaseState(count, r);
+    target_count_.resize(count);
+    live_targets_.resize(count);
+    for (std::size_t a = 0; a < count; ++a) {
+      const std::size_t req = active_[a];
+      quorum_[a] = batch[req].op == mpc::Op::kRead ? scheme_.readQuorum()
+                                                   : scheme_.writeQuorum();
+      premarkKnownDeadCopies(prep, a, req, r);
+      plan::BatchPlan::initTargets(&prep.plan.order[req * r],
+                                   prep.plan.count[req], &dead_[a * r],
+                                   quorum_[a], r, target_count_[a],
+                                   live_targets_[a]);
+      transitionAfterScan(a, req, batch[req].op, r);
     }
-    const std::size_t na = active_.size();
-    // accessed_[a*r + j]: copy j of active variable a granted already.
-    // dead_[a*r + j]: copy j's module is failed — never retried; a variable
-    // whose live copies cannot reach the quorum is unsatisfiable.
-    resetPhaseState(na, r);
-    for (std::size_t a = 0; a < na; ++a) {
-      quorum_[a] = batch[active_[a]].op == mpc::Op::kRead
-                       ? scheme_.readQuorum()
-                       : scheme_.writeQuorum();
-    }
-    // Modules seen dead in an earlier phase of this batch are not retried:
-    // a request all of whose surviving copies cannot reach the quorum is
-    // unsatisfiable before its first wire round (its phase may then run
-    // zero iterations).
-    for (std::size_t a = 0; a < na; ++a) {
-      premarkKnownDeadCopies(prep, a, active_[a], r);
-      if (plan_active_) initPlanTargets(prep, a, active_[a], r);
-      transitionAfterScan(a, active_[a], batch[active_[a]].op, r);
-    }
+
     // Persistent wire: live_ tracks the requests with outstanding work, in
-    // ascending order; its order (and the ascending copy order inside each
-    // segment) reproduces the from-scratch wire exactly, so the machine
-    // sees bit-identical request streams. need_refill_ marks segments whose
-    // protocol state changed (first round, or acquire -> finalize flipped
-    // the op/payload) — only those re-derive addressing; every other live
-    // segment is copied forward from the previous round's wire minus the
-    // entries that retired (granted, or module died).
-    live_.resize(na);
-    for (std::size_t a = 0; a < na; ++a) live_[a] = a;
-    need_refill_.assign(na, 1);
+    // ascending order; its order (and the rank order inside each segment)
+    // reproduces the from-scratch wire exactly, so the machine sees
+    // bit-identical request streams. need_refill_ marks segments whose
+    // protocol state changed (first round, escalation, or acquire -> finalize
+    // flipped the op/payload) — only those re-derive addressing; every other
+    // whole segment is copied forward from the previous round's wire minus
+    // the entries that retired (granted, or module died).
+    live_.resize(count);
+    for (std::size_t a = 0; a < count; ++a) live_[a] = a;
+    need_refill_.assign(count, 1);
     std::uint64_t iters = 0;
     std::vector<std::uint64_t> trajectory;
     util::Timer timer;
     while (true) {
-      // Incremental compaction (serial, O(live) — not O(na)): an acquiring
-      // request contributes exactly r - done - dead untried copies and a
-      // finalizing one its pending count, so every wire range is known
-      // without scanning the flags — the parallel fill below writes each
-      // request's entries at fixed positions, making the wire (and every
-      // downstream result) bit-identical for any thread count.
-      // Double-buffered: a segment may GROW at the acquire -> finalize
-      // transition, so in-place left-compaction can't work.
+      // Incremental compaction (serial, O(live)): an acquiring request's
+      // whole segment is its open ranks minus the granted ones (open dead
+      // ranks are excluded by live_targets_'s invariant), a finalizing one's
+      // its pending count, so every wire range is known without scanning the
+      // flags — the parallel fill below writes each request's entries at
+      // fixed positions, making the wire (and every downstream result)
+      // bit-identical for any thread count. Double-buffered: a segment may
+      // GROW at the acquire -> finalize transition or on escalation, so
+      // in-place left-compaction can't work.
       timer.reset();
       live_next_.clear();
       offsets_next_.clear();
@@ -625,29 +682,24 @@ AccessResult MajorityEngine::executePrepared(
         live_next_.push_back(a);
         fill_from_.push_back(p);
         offsets_next_.push_back(total);
-        // An acquirer's segment is its untried live copies — all r minus
-        // retired (done/dead) planner-off, or the open plan ranks minus
-        // granted planner-on (open dead ranks are excluded by
-        // live_targets_'s invariant).
-        total += state_[a] != kStateAcquire ? pending_count_[a]
-                 : plan_active_            ? live_targets_[a] - done_[a]
-                                           : r - done_[a] - dead_count_[a];
+        total += !kWhole                     ? 1
+                 : state_[a] == kStateAcquire ? live_targets_[a] - done_[a]
+                                              : pending_count_[a];
       }
       offsets_next_.push_back(total);
       if (live_next_.empty()) break;
       trajectory.push_back(live_next_.size());
-      const std::size_t nl = live_next_.size();
       wire_next_.resize(total);
       wire_copy_next_.resize(total);
-      pool.parallelFor(nl, [&](std::size_t lo, std::size_t hi) {
+      pool.parallelFor(live_next_.size(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t p = lo; p < hi; ++p) {
           const std::size_t a = live_next_[p];
-          std::size_t out = offsets_next_[p];
           const std::size_t req = active_[a];
-          if (!need_refill_[a]) {
-            // Unchanged state: the surviving entries of last round's
-            // segment (reply neither granted nor moduleFailed) ARE this
-            // round's segment, verbatim and in the same copy order.
+          std::size_t out = offsets_next_[p];
+          if (kWhole && !need_refill_[a]) {
+            // Unchanged state: the surviving entries of last round's segment
+            // (reply neither granted nor moduleFailed) ARE this round's
+            // segment, verbatim and in the same order.
             const std::size_t src = fill_from_[p];
             for (std::size_t w = offsets_[src]; w < offsets_[src + 1]; ++w) {
               if (replies_[w].granted || replies_[w].moduleFailed) continue;
@@ -658,59 +710,55 @@ AccessResult MajorityEngine::executePrepared(
             continue;
           }
           need_refill_[a] = 0;
-          const std::size_t cluster = req / r;
+          const auto emit = [&](std::size_t j, mpc::Op op, std::uint64_t val,
+                                std::uint64_t ts) {
+            const scheme::PhysicalAddress& pa = prep.copies[req * r + j];
+            wire_next_[out] = mpc::Request{Policy::processor(req, j, r),
+                                           pa.module, pa.slot, op, val, ts};
+            wire_copy_next_[out] = j;
+            ++out;
+          };
+          // A one-message owner staggers its walk by request index and round,
+          // so identical-copy-set requests spread their attempts.
+          const std::size_t stagger = req + iters;
           if (state_[a] == kStateFinalize) {
-            // Commit/abort/repair round over the granted copies. Repairs
-            // carry the freshest observed (value, timestamp); commits and
-            // aborts carry the write's own stamp so the module promotes or
-            // discards exactly the staged pair of this write.
+            // Commit/abort/repair round over the pending copies, in copy
+            // order. Repairs carry the freshest observed (value, timestamp);
+            // commits and aborts carry the write's own stamp so the module
+            // promotes or discards exactly the staged pair of this write.
             const auto fop = static_cast<mpc::Op>(final_op_[a]);
             const bool repair = fop == mpc::Op::kRepair;
             const std::uint64_t val =
                 repair ? fresh_[req].value : batch[req].value;
             const std::uint64_t ts =
                 repair ? fresh_[req].timestamp : prep.stamps[req];
-            for (std::size_t j = 0; j < r; ++j) {
+            const std::size_t start = kWhole ? 0 : stagger % r;
+            for (std::size_t off = 0; off < r; ++off) {
+              std::size_t j = start + off;
+              if (j >= r) j -= r;
               if (!pending_[a * r + j]) continue;
-              const auto& pa = prep.copies[req * r + j];
-              wire_next_[out] = mpc::Request{
-                  static_cast<std::uint32_t>(cluster * r + j), pa.module,
-                  pa.slot, fop, val, ts};
-              wire_copy_next_[out] = j;
-              ++out;
+              emit(j, fop, val, ts);
+              if (!kWhole) break;
             }
-          } else if (plan_active_) {
-            // Planned acquire: fire only at the open plan ranks, in rank
-            // order (escalations append, so spares land after targets).
-            // Entries of one segment go to r distinct modules and carry
-            // distinct processor ids, so intra-segment order cannot change
-            // any arbitration outcome.
-            const std::uint8_t* acc = &accessed_[a * r];
-            const std::uint8_t* dd = &dead_[a * r];
-            const std::uint16_t* ord = &prep.plan.order[req * r];
-            const unsigned tc = target_count_[a];
-            for (unsigned k = 0; k < tc; ++k) {
-              const std::size_t j = ord[k];
-              if (acc[j] || dd[j]) continue;
-              const auto& pa = prep.copies[req * r + j];
-              wire_next_[out] = mpc::Request{
-                  static_cast<std::uint32_t>(cluster * r + j), pa.module,
-                  pa.slot, batch[req].op, batch[req].value, prep.stamps[req]};
-              wire_copy_next_[out] = j;
-              ++out;
-            }
-          } else {
-            const std::uint8_t* acc = &accessed_[a * r];
-            const std::uint8_t* dd = &dead_[a * r];
-            for (std::size_t j = 0; j < r; ++j) {
-              if (acc[j] || dd[j]) continue;
-              const auto& pa = prep.copies[req * r + j];
-              wire_next_[out] = mpc::Request{
-                  static_cast<std::uint32_t>(cluster * r + j), pa.module,
-                  pa.slot, batch[req].op, batch[req].value, prep.stamps[req]};
-              wire_copy_next_[out] = j;
-              ++out;
-            }
+            continue;
+          }
+          // Acquire: fire at the open ranks not yet granted or dead, in rank
+          // order (escalations append, so spares land after targets). Entries
+          // of one segment go to distinct copies and carry distinct processor
+          // ids, so intra-segment order cannot change any arbitration outcome.
+          const std::uint16_t* ord = &prep.plan.order[req * r];
+          const std::size_t tc = target_count_[a];
+          const std::size_t start =
+              kWhole ? 0
+                     : prep.plan.startRank(batch[req].op == mpc::Op::kRead,
+                                           stagger, tc);
+          for (std::size_t off = 0; off < tc; ++off) {
+            std::size_t k = start + off;
+            if (k >= tc) k -= tc;
+            const std::size_t j = ord[k];
+            if (accessed_[a * r + j] || dead_[a * r + j]) continue;
+            emit(j, batch[req].op, batch[req].value, prep.stamps[req]);
+            if (!kWhole) break;
           }
         }
       });
@@ -729,7 +777,7 @@ AccessResult MajorityEngine::executePrepared(
       // Reply scan: request a's replies occupy its own wire range, so each
       // request is scanned (and its state machine advanced) independently —
       // no cross-request state. Live segments are never empty: a live
-      // acquirer always has an untried copy, a live finalizer a pending
+      // acquirer always has an untried open rank, a live finalizer a pending
       // message.
       timer.reset();
       pool.parallelFor(live_.size(), [&](std::size_t lo, std::size_t hi) {
@@ -738,86 +786,40 @@ AccessResult MajorityEngine::executePrepared(
           const std::size_t req = active_[a];
           const mpc::Op op = batch[req].op;
           const bool finalizing = state_[a] == kStateFinalize;
+          bool rebuild = false;
           for (std::size_t w = offsets_[p]; w < offsets_[p + 1]; ++w) {
-            const std::size_t j = wire_copy_[w];
-            if (replies_[w].moduleFailed) {
-              if (!dead_[a * r + j]) {
-                dead_[a * r + j] = 1;
-                ++dead_count_[a];
-                if (plan_active_ && !finalizing) {
-                  // A planned copy died (j is an open rank — the planner
-                  // only fires at open ranks): escalate one spare at a
-                  // time until a quorum is reachable again or the spares
-                  // run out (transitionAfterScan then rules unsatisfiable
-                  // exactly as planner-off would).
-                  --live_targets_[a];
-                  if (plan::BatchPlan::escalateUntilQuorum(
-                          &prep.plan.order[req * r], &dead_[a * r],
-                          quorum_[a], r, target_count_[a],
-                          live_targets_[a])) {
-                    need_refill_[a] = 1;  // new ranks: segment must rebuild
-                  }
-                }
-              }
-              if (finalizing && pending_[a * r + j]) {
-                pending_[a * r + j] = 0;
-                --pending_count_[a];
-                ++lost_[a];
-              }
-              continue;
-            }
-            if (!replies_[w].granted) {
-              if (plan_active_ && !finalizing && replies_[w].dropped &&
-                  target_count_[a] < r) {
-                // FaultPlan drop noise denied a planned copy: open ONE
-                // spare to route around the lossy module. The dropped copy
-                // stays open (it may still be granted later). Deterministic
-                // — drops are a pure function of (seed, cycle, module).
-                plan::BatchPlan::openOneSpare(&prep.plan.order[req * r],
-                                              &dead_[a * r],
-                                              target_count_[a],
-                                              live_targets_[a]);
-                need_refill_[a] = 1;
-              }
-              continue;
-            }
-            if (finalizing) {
-              pending_[a * r + j] = 0;
-              --pending_count_[a];
-              ++acked_[a];
-              continue;
-            }
-            accessed_[a * r + j] = 1;
-            ++done_[a];
-            if (op == mpc::Op::kRead) {
-              ts_seen_[a * r + j] = replies_[w].timestamp;
-              fresh_[req].offer(replies_[w].timestamp, replies_[w].value);
-            }
+            rebuild |= scanReply(prep, a, req, wire_copy_[w], replies_[w],
+                                 finalizing, op == mpc::Op::kRead, r);
           }
-          const std::uint8_t before = state_[a];
           transitionAfterScan(a, req, op, r);
-          // Only the acquire -> finalize flip changes a live segment's
-          // contents (op, payload, entry set); retirement to done is
-          // handled by the compaction dropping the request.
-          if (state_[a] != before && state_[a] == kStateFinalize) {
+          // Escalation opened ranks, or the acquire -> finalize flip changed
+          // the op, payload and entry set: the segment must be rebuilt.
+          // Retirement to done is handled by the compaction dropping the
+          // request.
+          if (rebuild || (!finalizing && state_[a] == kStateFinalize)) {
             need_refill_[a] = 1;
           }
         }
       });
       metrics_.scanSeconds += timer.seconds();
     }
-    finishPhase(prep, na, active_.data(), r, result);
+    finishPhase(prep, count, active_.data(), r, result);
+    for (std::size_t a = 0; a < count; ++a) {
+      const std::size_t req = active_[a];
+      metrics_.plannedWireSavings += r - target_count_[a];
+      metrics_.escalations += target_count_[a] - prep.plan.count[req];
+    }
     result.phaseIterations.push_back(iters);
     result.liveTrajectory.push_back(std::move(trajectory));
     result.totalIterations += iters;
     // Cost model: phases that ran zero iterations performed no address
     // computation either — billing addr_cost for them would overcharge.
     if (iters > 0) {
-      result.modeledSteps += iters * static_cast<std::uint64_t>(coord_cost) +
-                             static_cast<std::uint64_t>(addr_cost);
+      result.modeledSteps += iters * Policy::coordCost(r) + addr_cost;
     }
   }
 
+  result.values.resize(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     result.values[i] = batch[i].op == mpc::Op::kRead ? fresh_[i].value
                                                      : batch[i].value;
@@ -829,188 +831,14 @@ AccessResult MajorityEngine::executePrepared(
   return result;
 }
 
+AccessResult MajorityEngine::executePrepared(
+    const std::vector<AccessRequest>& batch, const PreparedBatch& prep) {
+  return runBatch<ClusterPolicy>(batch, prep);
+}
+
 AccessResult SingleOwnerEngine::executePrepared(
     const std::vector<AccessRequest>& batch, const PreparedBatch& prep) {
-  AccessResult result;
-  result.values.assign(batch.size(), 0);
-  mpc::ThreadPool& pool = machine_.pool();
-
-  const std::size_t r = scheme_.copiesPerVariable();
-  const std::size_t nb = batch.size();
-  const int addr_cost = util::ceilLog2(scheme_.numModules());
-
-  resetPhaseState(nb, r);
-  fresh_.assign(nb, Freshest{});
-  for (std::size_t i = 0; i < nb; ++i) {
-    quorum_[i] = batch[i].op == mpc::Op::kRead ? scheme_.readQuorum()
-                                               : scheme_.writeQuorum();
-  }
-  for (std::size_t i = 0; i < nb; ++i) {
-    premarkKnownDeadCopies(prep, i, i, r);
-    if (plan_active_) initPlanTargets(prep, i, i, r);
-    transitionAfterScan(i, i, batch[i].op, r);
-  }
-
-  // Live-list compaction: the round-robin pick below depends on the
-  // iteration number, so segments can't be copied forward verbatim like the
-  // MajorityEngine's — but the serial pass and the parallel fill/scan still
-  // shrink with the live set instead of rescanning all nb requests every
-  // round. live_ stays in ascending request order (stable filtering), and a
-  // live request emits exactly one entry, so wire position == live position
-  // and the wire is bit-identical to the from-scratch build.
-  live_.resize(nb);
-  for (std::size_t i = 0; i < nb; ++i) live_[i] = i;
-  std::uint64_t iters = 0;
-  std::vector<std::uint64_t> trajectory;
-  util::Timer timer;
-  while (true) {
-    timer.reset();
-    live_next_.clear();
-    for (const std::size_t i : live_) {
-      if (state_[i] != kStateDone) live_next_.push_back(i);
-    }
-    live_.swap(live_next_);
-    if (live_.empty()) break;
-    const std::size_t nl = live_.size();
-    trajectory.push_back(nl);
-    wire_.resize(nl);
-    wire_copy_.resize(nl);
-    pool.parallelFor(nl, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        const std::size_t i = live_[p];
-        const std::size_t out = p;
-        // Round-robin, staggered by request index so identical-copy-set
-        // requests spread their attempts: acquiring requests walk their
-        // untried copies (done + dead < r, so one always exists);
-        // finalizing requests walk their pending copies the same way, one
-        // commit/abort/repair message per cycle.
-        const std::size_t start = (i + iters) % r;
-        std::size_t pick = r;
-        if (state_[i] == kStateFinalize) {
-          for (std::size_t off = 0; off < r; ++off) {
-            const std::size_t j = (start + off) % r;
-            if (pending_[i * r + j]) {
-              pick = j;
-              break;
-            }
-          }
-          const auto fop = static_cast<mpc::Op>(final_op_[i]);
-          const bool repair = fop == mpc::Op::kRepair;
-          const auto& pa = prep.copies[i * r + pick];
-          wire_[out] = mpc::Request{
-              static_cast<std::uint32_t>(i), pa.module, pa.slot, fop,
-              repair ? fresh_[i].value : batch[i].value,
-              repair ? fresh_[i].timestamp : prep.stamps[i]};
-          wire_copy_[out] = pick;
-        } else {
-          if (plan_active_) {
-            // Planned acquire. Reads walk the open ranks from the top —
-            // the primary target is attacked persistently, spares only
-            // once escalation opened them. Writes keep the round-robin
-            // stagger, but in rank space, so identical-copy-set writes
-            // still spread their attempts across the (congestion-
-            // interleaved) order.
-            const std::uint16_t* ord = &prep.plan.order[i * r];
-            const std::size_t tc = target_count_[i];
-            const std::size_t rk0 =
-                batch[i].op == mpc::Op::kRead ? 0 : (i + iters) % tc;
-            for (std::size_t off = 0; off < tc; ++off) {
-              const std::size_t j = ord[(rk0 + off) % tc];
-              if (!accessed_[i * r + j] && !dead_[i * r + j]) {
-                pick = j;
-                break;
-              }
-            }
-          } else {
-            for (std::size_t off = 0; off < r; ++off) {
-              const std::size_t j = (start + off) % r;
-              if (!accessed_[i * r + j] && !dead_[i * r + j]) {
-                pick = j;
-                break;
-              }
-            }
-          }
-          const auto& pa = prep.copies[i * r + pick];
-          wire_[out] = mpc::Request{static_cast<std::uint32_t>(i), pa.module,
-                                    pa.slot, batch[i].op, batch[i].value,
-                                    prep.stamps[i]};
-          wire_copy_[out] = pick;
-        }
-      }
-    });
-    metrics_.wireBuildSeconds += timer.seconds();
-
-    timer.reset();
-    machine_.step(wire_, replies_);
-    metrics_.stepSeconds += timer.seconds();
-    metrics_.wireRequests += wire_.size();
-    ++iters;
-
-    timer.reset();
-    pool.parallelFor(nl, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t p = lo; p < hi; ++p) {
-        const std::size_t i = live_[p];
-        const std::size_t w = p;
-        const std::size_t j = wire_copy_[w];
-        const bool finalizing = state_[i] == kStateFinalize;
-        if (replies_[w].moduleFailed) {
-          if (!dead_[i * r + j]) {
-            dead_[i * r + j] = 1;
-            ++dead_count_[i];
-            if (plan_active_ && !finalizing) {
-              // Planned copy died: escalate spares until a quorum is
-              // reachable again (see MajorityEngine's scan).
-              --live_targets_[i];
-              plan::BatchPlan::escalateUntilQuorum(
-                  &prep.plan.order[i * r], &dead_[i * r], quorum_[i], r,
-                  target_count_[i], live_targets_[i]);
-            }
-          }
-          if (finalizing && pending_[i * r + j]) {
-            pending_[i * r + j] = 0;
-            --pending_count_[i];
-            ++lost_[i];
-          }
-        } else if (plan_active_ && !finalizing && replies_[w].dropped &&
-                   target_count_[i] < r) {
-          // Drop noise denied the planned copy: open one spare (see
-          // MajorityEngine's scan).
-          plan::BatchPlan::openOneSpare(&prep.plan.order[i * r],
-                                        &dead_[i * r], target_count_[i],
-                                        live_targets_[i]);
-        } else if (replies_[w].granted) {
-          if (finalizing) {
-            pending_[i * r + j] = 0;
-            --pending_count_[i];
-            ++acked_[i];
-          } else {
-            accessed_[i * r + j] = 1;
-            ++done_[i];
-            if (batch[i].op == mpc::Op::kRead) {
-              ts_seen_[i * r + j] = replies_[w].timestamp;
-              fresh_[i].offer(replies_[w].timestamp, replies_[w].value);
-            }
-          }
-        }
-        transitionAfterScan(i, i, batch[i].op, r);
-      }
-    });
-    metrics_.scanSeconds += timer.seconds();
-  }
-  finishPhase(prep, nb, nullptr, r, result);
-
-  result.phaseIterations.push_back(iters);
-  result.liveTrajectory.push_back(std::move(trajectory));
-  result.totalIterations = iters;
-  result.modeledSteps =
-      iters > 0 ? iters + static_cast<std::uint64_t>(addr_cost) : 0;
-  for (std::size_t i = 0; i < nb; ++i) {
-    result.values[i] = batch[i].op == mpc::Op::kRead ? fresh_[i].value
-                                                     : batch[i].value;
-  }
-  // Unsatisfiable requests must not leak partial data (see MajorityEngine).
-  for (const std::size_t i : result.unsatisfiable) result.values[i] = 0;
-  return result;
+  return runBatch<OwnerPolicy>(batch, prep);
 }
 
 }  // namespace dsm::protocol

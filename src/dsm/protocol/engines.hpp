@@ -74,17 +74,30 @@
 // around the lossy module). Escalation re-creates the planner-off copy set
 // in the limit, so fault-freedom and the sub-quorum/two-phase/repair
 // machinery are untouched; any q granted copies intersect every committed
-// write quorum (q + q > r), so read values are unchanged. Planner-off
-// behaviour is byte-identical to the pre-planner engine, and the reference
-// engines stay planner-off as the differential oracle.
+// write quorum (q + q > r), so read values are unchanged.
+//
+// Planner-off is not a separate mode: prepare then leaves the IDENTITY plan
+// (every request opens all r ranks in copy order; no spares, so no
+// escalation ever fires), and the one round driver runs it exactly like a
+// built plan. The wire it produces is byte-identical to the pre-planner
+// engine's, and the reference engines — which know no plans — stay the
+// differential oracle.
+//
+// One round driver (runBatch) serves both engines through a static policy:
+// MajorityEngine runs r cluster phases firing every open untried rank,
+// processor id cluster*r + j; SingleOwnerEngine runs one phase firing one
+// round-robin pick per request, processor id i. Both share one per-reply
+// kernel (scanReply) for dead, dropped, granted and finalize replies.
 //
 // Persistent wire: within a phase the wire is maintained incrementally. A
 // live list of requests survives from one iteration to the next; the serial
 // offset pass walks only that list (O(live), not O(phase size)), and the
-// parallel fill COPIES each unchanged request's surviving wire entries from
-// the previous round's wire instead of re-deriving module/slot addressing —
-// only requests whose protocol state changed (acquire -> finalize) rebuild
-// their segment. Compaction preserves the request order and per-request
+// MajorityEngine's parallel fill COPIES each unchanged request's surviving
+// wire entries from the previous round's wire instead of re-deriving
+// module/slot addressing — only requests whose protocol state changed
+// (escalation, acquire -> finalize) rebuild their segment; a
+// SingleOwnerEngine segment is one rotating pick, refilled every round.
+// Compaction preserves the request order and per-request
 // copy order of the from-scratch build, so the wire contents are
 // bit-identical to the pre-overhaul engine's and every downstream result is
 // unchanged. reference_engine.hpp keeps the from-scratch loops as the
@@ -213,11 +226,10 @@ struct EngineMetrics {
   std::uint64_t plannedWireSavings = 0;
   std::uint64_t escalations = 0;
   std::uint64_t maxPlannedModuleLoad = 0;
-  /// networkCycles accumulated by planner-on batches only: the share of the
-  /// interconnect bill that ran under plan-priced routing (the machine's
-  /// winner sets derived from the plan's response flags rather than
-  /// re-arbitrated). Equals networkCycles when every batch is planned; zero
-  /// on a crossbar or with the planner off.
+  /// networkCycles accumulated by batches that ran a built (greedy) plan:
+  /// the share of the interconnect bill paid under the planner. Equals
+  /// networkCycles when every batch is planned; zero on a crossbar or with
+  /// the planner off.
   std::uint64_t plannedNetworkCycles = 0;
   FaultMetrics faults;  ///< fault-tolerance and recovery counters
 
@@ -346,10 +358,11 @@ class EngineBase {
     /// Seconds spent in the copy-cache batch resolution (addressing
     /// kernels), folded into metrics_.addrSeconds by beginBatch.
     double addrSeconds = 0.0;
-    /// Quorum plan (built by planBatch iff plan.planned; stale otherwise).
-    /// The shared artifact of DESIGN.md §15: produced here at prepare time,
-    /// consumed by the wire loops, summarized downward to the machine
-    /// (plan.wire()) around the batch's wire rounds.
+    /// Quorum plan, always valid: the greedy plan (planBatch) with the
+    /// planner on, the identity plan otherwise. The shared artifact of
+    /// DESIGN.md §15: produced here at prepare time, consumed by the round
+    /// driver, summarized downward to the machine (plan.wire()) before the
+    /// batch's wire rounds.
     plan::BatchPlan plan;
   };
 
@@ -379,9 +392,10 @@ class EngineBase {
 
   /// Validates batch (range, distinct variables, 32-bit processor-id head
   /// room), resolves copies through the cache (misses in parallel on
-  /// `pool` when non-null) and stamps write requests. Touches ONLY cache_,
-  /// clock_ and prep — safe to run on the prefetch thread (with a null
-  /// pool) while wire rounds execute.
+  /// `pool` when non-null), stamps write requests and leaves the batch's
+  /// plan (greedy with the planner on, identity otherwise). Touches ONLY
+  /// cache_, clock_, plan_model_ and prep — safe to run on the prefetch
+  /// thread (with a null pool) while wire rounds execute.
   void prepare(const std::vector<AccessRequest>& batch, PreparedBatch& prep,
                mpc::ThreadPool* pool);
 
@@ -407,13 +421,6 @@ class EngineBase {
   /// included.
   void planBatch(const std::vector<AccessRequest>& batch, PreparedBatch& prep);
 
-  /// Planner-on phase init for request `a` (after premarkKnownDeadCopies,
-  /// before the first transitionAfterScan): opens the planned ranks, counts
-  /// the live ones and escalates past premarked-dead targets until a quorum
-  /// is reachable or the spares are exhausted (BatchPlan::initTargets).
-  void initPlanTargets(const PreparedBatch& prep, std::size_t a,
-                       std::size_t req, std::size_t r);
-
   /// Advances the state machine of request `a` (batch index `req`) after
   /// its replies for one round have been scanned (or before the first round
   /// for pre-dead requests). Safe to call concurrently for distinct `a`.
@@ -425,6 +432,29 @@ class EngineBase {
   void finishPhase(const PreparedBatch& prep, std::size_t count,
                    const std::size_t* req_map, std::size_t r,
                    AccessResult& result);
+
+  /// The per-reply kernel of the reply scan: applies one reply to copy `j`
+  /// of request `a` (batch index `req`) — a dead module (marked once;
+  /// escalates an acquirer's spares, loses a pending finalize message), a
+  /// FaultPlan drop (opens one spare), or a grant (acks a finalize message,
+  /// or records an acquire grant and, for reads, its stamp and value).
+  /// Returns true when escalation opened plan ranks, so the request's wire
+  /// segment must be rebuilt. Safe to call concurrently for distinct `a`.
+  bool scanReply(const PreparedBatch& prep, std::size_t a, std::size_t req,
+                 std::size_t j, const mpc::Response& reply, bool finalizing,
+                 bool read, std::size_t r);
+
+  /// The round driver behind both engines' executePrepared: runs the
+  /// batch's phases (Policy::phases(r) of them; phase k serves requests k,
+  /// k + P, ...), each as phase init from the batch's plan, then rounds of
+  /// live-list compaction, parallel wire fill, Machine::step and parallel
+  /// reply scan until every request is done, and fills the result. Policy
+  /// (engines.cpp) statically fixes the phase count, the processor ids,
+  /// the per-round segment (every open rank, or one rotating pick) and the
+  /// coordination cost — no per-entry virtual call.
+  template <class Policy>
+  AccessResult runBatch(const std::vector<AccessRequest>& batch,
+                        const PreparedBatch& prep);
 
   /// Folds the copy-cache counters into metrics_ and closes one batch.
   void finishBatch(std::size_t batch_size);
@@ -468,8 +498,8 @@ class EngineBase {
   std::vector<unsigned> dead_count_;
   std::vector<unsigned> quorum_;
   std::vector<std::size_t> active_;     ///< per-phase request indices
-  // Planner runtime state (valid only while plan_active_). target_count_[a]
-  // is how many plan ranks are open for request a; live_targets_[a] counts
+  // Plan runtime state (per phase). target_count_[a] is how many plan
+  // ranks are open for request a; live_targets_[a] counts
   // the open ranks whose module is not (yet) known dead — the acquire
   // invariant is live_targets_ == #{k < target_count_ : !dead_[plan[k]]},
   // and a request escalates (opens further ranks) until live_targets_ >=
@@ -501,12 +531,10 @@ class EngineBase {
   // may heal between batches, and the engine re-discovers honestly).
   std::vector<std::uint8_t> module_dead_;
   bool module_dead_any_ = false;
-  // Quorum planner (file comment). planner_enabled_ is the user-facing
-  // toggle, sampled per prepare; plan_active_ mirrors the CURRENT batch's
-  // prep.planned (set by beginBatch), so the wire loops never read a flag
-  // that flipped mid-stream.
+  // Quorum planner toggle (file comment), sampled per prepare: the wire
+  // rounds only ever read the prepared batch's plan, so a toggle mid-stream
+  // never tears a batch between plans.
   bool planner_enabled_ = false;
-  bool plan_active_ = false;
 };
 
 /// Section-3 clustered majority protocol (used by PP and UW schemes).

@@ -6,7 +6,10 @@
 //   * the routed winner set is exactly the consumed ports — including
 //     grants later lost to drop noise, excluding failed modules — and its
 //     cost is identical at every thread count;
-//   * install-time validation and resetMetrics interplay.
+//   * install-time validation and resetMetrics interplay;
+//   * on every cycle path (serial fused, module-sharded, atomic-min and
+//     stepReference) the winner set handed to the backend is exactly the
+//     lowest processor id per live module, in wire order.
 #include "dsm/mpc/interconnect.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 
 #include "dsm/mpc/machine.hpp"
 #include "dsm/util/assert.hpp"
+#include "dsm/util/rng.hpp"
 
 namespace dsm::mpc {
 namespace {
@@ -263,6 +267,109 @@ TEST(Interconnect, ResetMetricsClearsNetworkFigures) {
   EXPECT_TRUE(m.networkActive());
   m.step(contendedWire(16, 32, 2, 1), resp);
   EXPECT_GT(m.metrics().networkCycles, 0u);
+}
+
+// Records every routed winner set; one delivery cycle per nonempty set.
+class RecordingInterconnect final : public Interconnect {
+ public:
+  explicit RecordingInterconnect(std::vector<std::vector<GrantLink>>& log)
+      : log_(log) {}
+  std::string name() const override { return "recording"; }
+  bool zeroCost() const noexcept override { return false; }
+  std::uint64_t moduleLimit() const noexcept override { return ~0ULL; }
+  std::uint64_t idealCycles() const noexcept override { return 1; }
+  net::RoutingStats routeWinners(
+      const std::vector<GrantLink>& winners) override {
+    log_.push_back(winners);
+    net::RoutingStats stats;
+    stats.packets = winners.size();
+    stats.cycles = winners.empty() ? 0 : 1;
+    return stats;
+  }
+
+ private:
+  std::vector<std::vector<GrantLink>>& log_;
+};
+
+// The arbitration rule replayed independently of the machine: per live
+// module the lowest (processor, wire index) wins; winners listed in wire
+// order.
+std::vector<GrantLink> replayWinners(const Machine& m,
+                                     const std::vector<Request>& wire) {
+  std::vector<std::size_t> best(m.moduleCount(), wire.size());
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    const std::size_t mod = static_cast<std::size_t>(wire[i].module);
+    if (m.isFailed(mod)) continue;
+    const std::size_t b = best[mod];
+    if (b == wire.size() || wire[i].processor < wire[b].processor) {
+      best[mod] = i;
+    }
+  }
+  std::vector<GrantLink> winners;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    if (best[static_cast<std::size_t>(wire[i].module)] == i) {
+      winners.push_back(GrantLink{wire[i].processor, wire[i].module});
+    }
+  }
+  return winners;
+}
+
+TEST(Interconnect, WinnerSetIsLowestProcessorPerLiveModuleOnEveryPath) {
+  struct Path {
+    const char* name;
+    std::uint64_t modules;
+    std::uint64_t targeted;  // the wire hits modules [0, targeted)
+    unsigned threads;
+    bool reference;
+  };
+  // 1024-entry wires: the pool forks (4 participants) at 4 threads.
+  const std::size_t n = 1024;
+  const Path paths[] = {
+      {"serial-fused", 64, 64, 1, false},
+      {"sharded", 64, 64, 4, false},         // modules < wire
+      {"atomic-min", 4096, 512, 4, false},   // modules >= wire
+      {"stepReference", 64, 64, 4, true},
+  };
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    std::vector<std::vector<GrantLink>> log;
+    Machine m(path.modules, 16, path.threads);
+    m.setInterconnect(std::make_unique<RecordingInterconnect>(log));
+    FaultPlan plan;
+    plan.grantDropProbability = 0.2;
+    plan.seed = 31;
+    plan.transientAt(2, 3, 4);
+    plan.failAt(5, 7);
+    m.setFaultPlan(plan);
+    util::Xoshiro256 rng(404);
+    std::vector<Request> wire(n);
+    std::vector<Response> resp;
+    std::uint64_t failed_requests = 0;
+    for (std::uint64_t cyc = 0; cyc < 10; ++cyc) {
+      for (Request& q : wire) {
+        // Processor ids repeat across the wire, so ties break by index.
+        q = Request{static_cast<std::uint32_t>(rng.below(n)),
+                    rng.below(path.targeted), rng.below(16),
+                    kOps[rng.below(5)], rng(), cyc + 1};
+      }
+      path.reference ? m.stepReference(wire, resp) : m.step(wire, resp);
+      ASSERT_EQ(log.size(), cyc + 1);
+      // Fault events apply before a step, so isFailed now is this cycle's.
+      const std::vector<GrantLink> want = replayWinners(m, wire);
+      const std::vector<GrantLink>& got = log.back();
+      ASSERT_EQ(got.size(), want.size()) << "cycle " << cyc;
+      for (std::size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(got[w].processor, want[w].processor) << "cycle " << cyc;
+        EXPECT_EQ(got[w].module, want[w].module) << "cycle " << cyc;
+      }
+      for (const Response& r : resp) failed_requests += r.moduleFailed;
+    }
+    // The outage and drop paths genuinely ran.
+    EXPECT_GT(failed_requests, 0u);
+    EXPECT_GT(m.metrics().grantsDropped, 0u);
+    EXPECT_EQ(m.metrics().networkPackets,
+              m.metrics().requestsGranted + m.metrics().grantsDropped);
+  }
 }
 
 }  // namespace

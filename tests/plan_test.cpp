@@ -1,18 +1,12 @@
-// dsm/plan unit + differential tests (DESIGN.md §15): the ModuleLoadModel's
-// sparse-reset contract, BatchPlan's greedy build and escalation helpers,
-// the probe/commit replay invariant the plan-aware admission scheduler
-// leans on, and the machine-level bit-identity of plan-priced routing —
-// with a wire plan installed the butterfly receives EXACTLY the winner set
-// (and injection order) the legacy arbitration replay derives, under module
-// outages and grant-drop noise.
+// dsm/plan unit tests (DESIGN.md §15): the ModuleLoadModel's sparse-reset
+// contract, BatchPlan's greedy build, its identity (planner-off) form and
+// the escalation helpers, and the probe/commit replay invariant the
+// plan-aware admission scheduler leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "dsm/mpc/interconnect.hpp"
-#include "dsm/mpc/machine.hpp"
 #include "dsm/plan/plan.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
@@ -134,6 +128,52 @@ TEST(BatchPlan, EscalationHelpersMaintainLiveTargetInvariant) {
   EXPECT_EQ(live2, 3u);
 }
 
+// The identity plan is the planner-off form: every rank open from the start
+// in copy order, nothing saved, nothing planned — so init opens all r ranks
+// and escalation can never fire.
+TEST(BatchPlan, IdentityPlanOpensEveryRankAndNeverEscalates) {
+  const std::size_t r = 5;
+  const unsigned quorum = 3;
+  BatchPlan plan;
+  plan.identity(4, r);
+  EXPECT_FALSE(plan.planned);
+  ASSERT_EQ(plan.order.size(), 4 * r);
+  ASSERT_EQ(plan.count.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(plan.count[i], r);
+    for (std::size_t k = 0; k < r; ++k) EXPECT_EQ(plan.order[i * r + k], k);
+  }
+  EXPECT_EQ(plan.wireSavings, 0u);
+  EXPECT_EQ(plan.maxPlannedLoad, 0u);
+  EXPECT_EQ(plan.wire(r).plannedRequests, 4 * r);
+  EXPECT_EQ(plan.wire(r).plannedPeakLoad, 0u);
+
+  // Init opens all r ranks; live = r - dead.
+  std::uint8_t dead[r] = {0, 1, 0, 0, 1};
+  unsigned tc = 0, live = 0;
+  BatchPlan::initTargets(&plan.order[r], plan.count[1], dead, quorum, r, tc,
+                         live);
+  EXPECT_EQ(tc, r);
+  EXPECT_EQ(live, r - 2);
+
+  // A further death drops below quorum, yet there is no spare to open:
+  // escalation reports false and leaves both counters untouched.
+  dead[2] = 1;
+  --live;
+  EXPECT_FALSE(BatchPlan::escalateUntilQuorum(&plan.order[r], dead, quorum,
+                                              r, tc, live));
+  EXPECT_EQ(tc, r);
+  EXPECT_EQ(live, r - 3);
+
+  // A one-message owner rotates its start on the identity plan, reads
+  // included; a built plan starts reads at rank 0.
+  EXPECT_EQ(plan.startRank(true, 7, r), 2u);
+  EXPECT_EQ(plan.startRank(false, 7, r), 2u);
+  plan.planned = true;
+  EXPECT_EQ(plan.startRank(true, 7, r), 0u);
+  EXPECT_EQ(plan.startRank(false, 7, r), 2u);
+}
+
 // The §15 replay invariant: committing placements one slot at a time with
 // commitPlacement reproduces EXACTLY the histogram build() computes for the
 // same batch — same peak, same per-module loads — and probePlacement's
@@ -183,82 +223,6 @@ TEST(PlanReplay, CommitSequenceMatchesBuildHistogram) {
   }
   EXPECT_EQ(peak, plan.maxPlannedLoad);
   EXPECT_EQ(replay.maxLoad(), plan.maxPlannedLoad);
-}
-
-// ---------------------------------------------------------------------------
-// Plan-priced routing bit-identity: two butterfly machines fed the same wire
-// history — one with a WirePlan installed (winners derived from response
-// flags), one without (legacy arbitration replay) — must report identical
-// responses AND identical network metrics, under a module outage and grant-
-// drop noise. This is the invariant that lets planned batches skip the
-// replay entirely.
-
-TEST(PlanRouting, FlagDerivedWinnersMatchArbitrationReplay) {
-  const std::uint64_t modules = 8;
-  const std::uint64_t slots = 16;
-  const auto mk = [&]() {
-    auto m = std::make_unique<mpc::Machine>(modules, slots);
-    m->setInterconnect(std::make_unique<mpc::ButterflyInterconnect>(modules));
-    mpc::FaultPlan fp;
-    fp.grantDropProbability = 0.3;
-    fp.seed = 9;
-    fp.transientAt(4, 2, 5);
-    m->setFaultPlan(fp);
-    return m;
-  };
-  auto legacy = mk();
-  auto planned = mk();
-  planned->beginPlannedWire(mpc::WirePlan{64, 4});
-  ASSERT_TRUE(planned->wirePlanActive());
-
-  util::Xoshiro256 rng(2026);
-  std::vector<mpc::Request> wire;
-  std::vector<mpc::Response> ra, rb;
-  for (int cycle = 0; cycle < 12; ++cycle) {
-    wire.clear();
-    const std::size_t n = 4 + rng.below(12);
-    for (std::size_t i = 0; i < n; ++i) {
-      mpc::Request q;
-      q.processor = static_cast<std::uint32_t>(i);
-      q.module = rng.below(modules / 2);  // heavy contention: many losers
-      q.slot = rng.below(slots);
-      q.op = rng.below(2) == 0 ? mpc::Op::kRead : mpc::Op::kWrite;
-      q.value = rng();
-      q.timestamp = static_cast<std::uint64_t>(cycle) + 1;
-      wire.push_back(q);
-    }
-    legacy->step(wire, ra);
-    planned->step(wire, rb);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(ra[i].granted, rb[i].granted) << "cycle " << cycle;
-      EXPECT_EQ(ra[i].dropped, rb[i].dropped) << "cycle " << cycle;
-      EXPECT_EQ(ra[i].moduleFailed, rb[i].moduleFailed) << "cycle " << cycle;
-      EXPECT_EQ(ra[i].value, rb[i].value);
-      EXPECT_EQ(ra[i].timestamp, rb[i].timestamp);
-    }
-  }
-
-  const mpc::MachineMetrics& ma = legacy->metrics();
-  const mpc::MachineMetrics& mb = planned->metrics();
-  EXPECT_GT(mb.networkCycles, 0u);
-  EXPECT_GT(mb.grantsDropped, 0u);  // the drop/outage paths genuinely ran
-  EXPECT_EQ(ma.networkCycles, mb.networkCycles);
-  EXPECT_EQ(ma.networkPackets, mb.networkPackets);
-  EXPECT_EQ(ma.networkMaxQueue, mb.networkMaxQueue);
-  EXPECT_EQ(ma.networkIdealCycles, mb.networkIdealCycles);
-  EXPECT_EQ(ma.requestsGranted, mb.requestsGranted);
-  EXPECT_EQ(ma.grantsDropped, mb.grantsDropped);
-
-  // endPlannedWire restores the replay path (still identical results).
-  planned->endPlannedWire();
-  EXPECT_FALSE(planned->wirePlanActive());
-  legacy->step(wire, ra);
-  planned->step(wire, rb);
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].granted, rb[i].granted);
-  }
-  EXPECT_EQ(legacy->metrics().networkCycles, planned->metrics().networkCycles);
 }
 
 }  // namespace

@@ -46,6 +46,22 @@ void expectSameResults(const std::vector<AccessResult>& got,
   }
 }
 
+// Engine-side counters: every wire request and every fault-path counter
+// must match the reference engine's exactly.
+void expectSameEngineMetrics(const EngineMetrics& got,
+                             const EngineMetrics& want, const char* what) {
+  EXPECT_EQ(got.wireRequests, want.wireRequests) << what;
+  const FaultMetrics& g = got.faults;
+  const FaultMetrics& w = want.faults;
+  EXPECT_EQ(g.deadCopies, w.deadCopies) << what;
+  EXPECT_EQ(g.stagedAborted, w.stagedAborted) << what;
+  EXPECT_EQ(g.repairsPerformed, w.repairsPerformed) << what;
+  EXPECT_EQ(g.commitsLost, w.commitsLost) << what;
+  EXPECT_EQ(g.abortsLost, w.abortsLost) << what;
+  EXPECT_EQ(g.unsatisfiable, w.unsatisfiable) << what;
+  EXPECT_EQ(g.degradedQuorum, w.degradedQuorum) << what;
+}
+
 std::vector<std::vector<AccessRequest>> makeStream(std::uint64_t vars_total,
                                                    std::size_t batch_size,
                                                    std::uint64_t seed) {
@@ -99,6 +115,8 @@ TEST(HotPath, MajorityEngineMatchesReference) {
       const auto want = ref.executeStream(stream);
       expectSameResults(got, want,
                         faulty ? "majority/faulty" : "majority/clean");
+      expectSameEngineMetrics(fast.metrics(), ref.metrics(),
+                              faulty ? "majority/faulty" : "majority/clean");
       // The two machines must have run the exact same wire cycle for cycle:
       // same grants, same contention peaks, same dropped grants.
       EXPECT_EQ(tally(fast_m), tally(ref_m)) << "faulty=" << faulty;
@@ -123,6 +141,8 @@ TEST(HotPath, SingleOwnerEngineMatchesReference) {
       const auto want = ref.executeStream(stream);
       expectSameResults(got, want,
                         faulty ? "owner/faulty" : "owner/clean");
+      expectSameEngineMetrics(fast.metrics(), ref.metrics(),
+                              faulty ? "owner/faulty" : "owner/clean");
       EXPECT_EQ(tally(fast_m), tally(ref_m)) << "faulty=" << faulty;
     }
   }
@@ -149,7 +169,43 @@ TEST(HotPath, MajorityMatchesReferenceUnderScriptedFailures) {
     ReferenceMajorityEngine ref(s, ref_m);
     expectSameResults(fast.executeStream(stream), ref.executeStream(stream),
                       "majority/scripted");
+    expectSameEngineMetrics(fast.metrics(), ref.metrics(),
+                            "majority/scripted");
     EXPECT_EQ(tally(fast_m), tally(ref_m)) << "threads=" << threads;
+  }
+}
+
+TEST(HotPath, SingleOwnerMatchesReferenceUnderScriptedFailures) {
+  // The Majority script's hard failures plus 10 % grant drops on the
+  // one-message-per-round owner: dead copies mid-acquire and mid-commit,
+  // unsatisfiable requests and staged aborts must all match the
+  // from-scratch reference.
+  const scheme::MvScheme s(40000, 255, 3);
+  const auto stream = makeStream(s.numVariables(), 512, 0x5EED);
+  auto scripted = [&] {
+    mpc::FaultPlan plan;
+    plan.failAt(2, 3).healAt(40, 3);
+    plan.failAt(15, 11 % s.numModules()).healAt(60, 11 % s.numModules());
+    plan.grantDropProbability = 0.1;
+    return plan;
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    mpc::Machine fast_m(s.numModules(), s.slotsPerModule(), threads);
+    mpc::Machine ref_m(s.numModules(), s.slotsPerModule(), threads);
+    fast_m.setFaultPlan(scripted());
+    ref_m.setFaultPlan(scripted());
+    SingleOwnerEngine fast(s, fast_m);
+    ReferenceSingleOwnerEngine ref(s, ref_m);
+    expectSameResults(fast.executeStream(stream), ref.executeStream(stream),
+                      "owner/scripted");
+    expectSameEngineMetrics(fast.metrics(), ref.metrics(), "owner/scripted");
+    EXPECT_EQ(tally(fast_m), tally(ref_m)) << "threads=" << threads;
+    // The script genuinely reaches the fault paths the scan handles.
+    const FaultMetrics& fm = fast.metrics().faults;
+    EXPECT_GT(fm.deadCopies, 0u);
+    EXPECT_GT(fm.unsatisfiable, 0u);
+    EXPECT_GT(fm.commitsLost, 0u);
+    EXPECT_GT(fm.stagedAborted, 0u);
   }
 }
 

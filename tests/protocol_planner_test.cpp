@@ -328,6 +328,23 @@ TEST(Planner, OffByDefault) {
   EXPECT_EQ(eng.metrics().plannedWireSavings, 0u);
   EXPECT_EQ(eng.metrics().escalations, 0u);
   EXPECT_EQ(eng.metrics().maxPlannedModuleLoad, 0u);
+  // Planner off runs the identity plan: every rank is open from the start,
+  // so a dead module and drop noise — which would escalate a built plan —
+  // still save nothing, escalate nothing and plan no load.
+  mpc::FaultPlan fp;
+  fp.grantDropProbability = 0.2;
+  m.setFaultPlan(fp);
+  m.failModule(s.copiesOf(2)[0].module);
+  std::vector<AccessRequest> batch;
+  for (std::uint64_t v = 2; v < 40; ++v) {
+    batch.push_back({v, v % 2 == 0 ? mpc::Op::kWrite : mpc::Op::kRead, v});
+  }
+  eng.execute(batch);
+  EXPECT_GT(eng.metrics().faults.deadCopies, 0u);
+  EXPECT_GT(m.metrics().grantsDropped, 0u);
+  EXPECT_EQ(eng.metrics().plannedWireSavings, 0u);
+  EXPECT_EQ(eng.metrics().escalations, 0u);
+  EXPECT_EQ(eng.metrics().maxPlannedModuleLoad, 0u);
 }
 
 }  // namespace
