@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge verify: tier-1 (full suite, release) + sanitized fault/recovery
-# suite (ASan + UBSan) + race check (ThreadSanitizer, `tsan`-labelled
-# suites). Usage: scripts/verify.sh [--full-asan]
+# suite (ASan + UBSan) + race check (ThreadSanitizer over the seven
+# `tsan`-labelled suites: mpc_machine, mpc_interconnect, protocol_engines,
+# protocol_stream_errors, protocol_hotpath, protocol_planner, serve).
+# Usage: scripts/verify.sh [--full-asan]
 #   default:     tier-1 everything, sanitized `faults`-labelled tests
 #   --full-asan: tier-1 everything, sanitized everything
 set -euo pipefail

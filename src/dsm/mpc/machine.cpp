@@ -306,83 +306,169 @@ void Machine::step(const std::vector<Request>& requests,
   if (network_ != nullptr) routeCycleWinners(requests, responses);
 }
 
+// The cycle's drop-noise inputs, hoisted out of the access sweep: the
+// per-cycle salt is the same for every module, so each winner only mixes in
+// its module id (the resulting hash is exactly dropsGrant()'s).
+struct Machine::DropContext {
+  explicit DropContext(const Machine& m)
+      : thresholds(m.has_drops_ ? m.drop_threshold_.data() : nullptr),
+        salt(m.plan_.seed ^ (m.lifetime_cycles_ * 0x9E3779B97F4A7C15ULL)) {}
+
+  const std::uint64_t* thresholds;  // nullptr: the plan has no drop noise
+  std::uint64_t salt;
+};
+
+// Grant/drop/peak counts of one access-sweep participant. Each participant
+// counts privately and merges into the cycle total once; sums and a max
+// commute, so the total is independent of the thread count.
+struct Machine::CycleTally {
+  std::uint64_t granted = 0;
+  std::uint64_t dropped = 0;
+  std::uint32_t peak = 0;
+
+  void mergeInto(CycleTally& total) const {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    std::atomic_ref<std::uint64_t>(total.granted).fetch_add(granted, kRelaxed);
+    std::atomic_ref<std::uint64_t>(total.dropped).fetch_add(dropped, kRelaxed);
+    std::atomic_ref<std::uint32_t> total_peak(total.peak);
+    std::uint32_t cur = total_peak.load(kRelaxed);
+    while (peak > cur &&
+           !total_peak.compare_exchange_weak(cur, peak, kRelaxed)) {
+    }
+  }
+};
+
+// Precondition: r won arbitration at live module m this cycle, so the
+// winner owns m's cell, staged table and load counter outright — race-free
+// on every path at any thread count. Forced inline: with two call sites
+// GCC emits it out of line, which puts a call per winner on the hottest
+// loop of the serial cycle.
+[[gnu::always_inline]] inline void Machine::accessWinner(const Request& r, std::size_t m,
+                                  const DropContext& drops, Response& resp,
+                                  CycleTally& tally) {
+  // FaultPlan drop noise: the port is consumed but the grant is lost; the
+  // requester retries in a later cycle.
+  if (drops.thresholds != nullptr && drops.thresholds[m] != 0) {
+    util::SplitMix64 g(drops.salt ^ (r.module * 0xA24BAED4963EE407ULL));
+    if (g.next() < drops.thresholds[m]) {
+      ++tally.dropped;
+      resp = Response{false, false, 0, 0, true};
+      return;
+    }
+  }
+  Cell& cell = cellRef(r.module, r.slot);
+  switch (r.op) {
+    case Op::kRead:
+      break;
+    case Op::kWrite:
+      // Stage only: committed state is untouched until kCommit.
+      staged_[m].put(r.slot, Cell{r.value, r.timestamp});
+      break;
+    case Op::kCommit: {
+      Cell* entry = staged_[m].find(r.slot);
+      if (entry != nullptr && entry->timestamp == r.timestamp) {
+        cell = *entry;
+        staged_[m].erase(r.slot);
+      }
+      break;
+    }
+    case Op::kAbort: {
+      Cell* entry = staged_[m].find(r.slot);
+      if (entry != nullptr && entry->timestamp == r.timestamp) {
+        staged_[m].erase(r.slot);
+      }
+      break;
+    }
+    case Op::kRepair:
+      // Monotone: a repair can only move a copy forward in time.
+      if (r.timestamp > cell.timestamp) {
+        cell = Cell{r.value, r.timestamp};
+      }
+      break;
+  }
+  if (!module_load_.empty()) {
+    ++module_load_[m];
+  }
+  resp = Response{true, false, cell.value, cell.timestamp, false};
+  ++tally.granted;
+}
+
+void Machine::closeCycle(std::size_t n, const CycleTally& tally) {
+  metrics_.cycles += 1;
+  lifetime_cycles_ += 1;
+  metrics_.requestsIssued += n;
+  metrics_.requestsGranted += tally.granted;
+  metrics_.grantsDropped += tally.dropped;
+  metrics_.maxModuleQueue =
+      std::max<std::uint64_t>(metrics_.maxModuleQueue, tally.peak);
+}
+
+// Address validation is folded into the arbitration loop: invalid entries
+// take no part and the lowest offending index is returned (pool bodies must
+// not throw, so the caller throws after the sweep). Failed modules take no
+// part either; sweep 2 classifies their requests. The running minimum is
+// the candidate winner; its committed cell is prefetched so sweep 2's
+// access doesn't stall on the (much larger than L2) flat store — purely a
+// hint, no effect on results. Winners are a min however computed, so the
+// relaxed plain-store (serial) and atomic-min (concurrent) variants agree.
+template <bool kConcurrent>
+std::uint64_t Machine::arbitrateRange(const Request* req, std::size_t lo,
+                                      std::size_t hi) {
+  // Member loads hoisted into locals so the stores below can't force the
+  // compiler to refetch them each iteration.
+  const std::uint8_t* failed = failed_.data();
+  std::atomic<std::uint64_t>* arb = arb_.data();
+  std::atomic<std::uint32_t>* cnt = counts_.data();
+  Cell* flat = eager_ ? flat_.data() : nullptr;
+  const std::uint64_t mc = module_count_;
+  const std::uint64_t spm = slots_per_module_;
+  std::uint64_t bad = kNoBadIndex;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const Request& r = req[i];
+    if (r.module >= mc || (spm != 0 && r.slot >= spm)) {
+      bad = std::min<std::uint64_t>(bad, i);
+      continue;
+    }
+    const std::size_t m = static_cast<std::size_t>(r.module);
+    if (failed[m]) continue;
+    const std::uint64_t key = arbKey(r.processor, i);
+    if (key < arb[m].load(std::memory_order_relaxed)) {
+      if (flat != nullptr) {
+        __builtin_prefetch(&flat[m * spm + r.slot], 1, 1);
+      }
+      if constexpr (kConcurrent) {
+        atomicMin(arb[m], key);
+      } else {
+        arb[m].store(key, std::memory_order_relaxed);
+      }
+    }
+    if constexpr (kConcurrent) {
+      cnt[m].fetch_add(1, std::memory_order_relaxed);
+    } else {
+      cnt[m].store(cnt[m].load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+    }
+  }
+  return bad;
+}
+
 void Machine::stepFused(const std::vector<Request>& requests,
                         std::vector<Response>& responses) {
   const std::size_t n = requests.size();
   util::Timer arb_timer;
-  // Sweep 1: validate + arbitrate + count, fused. Address validation is
-  // folded into the arbitration loop; the serial first-offender semantics
-  // of the old pre-scan are reproduced by taking the atomic MIN of the
-  // offending request indices (pool bodies must not throw, so the throw is
-  // issued after the sweep). Invalid requests take no part in arbitration.
-  // Failed modules take no part either; their requests are classified in
-  // sweep 2. The winner per module is a commutative atomic min, so the
-  // result is identical for any thread count.
-  //
-  // When the pool would run the sweep inline anyway (one worker, or a wire
-  // below the fork grain) the same reduction runs with plain relaxed
-  // loads/stores: no lock-prefixed RMWs, bit-identical winners (min is min
-  // however it is computed). This is the common shape late in a protocol
-  // phase, when the persistent wire has shrunk to a handful of stragglers.
+  // Sweep 1: validate + arbitrate + count. When the pool would run it
+  // inline anyway (the common shape late in a protocol phase, when the
+  // persistent wire has shrunk to a handful of stragglers) it uses plain
+  // relaxed loads/stores: no lock-prefixed RMWs.
   std::uint64_t bad = kNoBadIndex;
-  if (pool_.threads() == 1 || n <= ThreadPool::kMinItemsPerWorker) {
-    // Member loads hoisted into locals so the stores below can't force the
-    // compiler to refetch them each iteration.
-    const Request* req = requests.data();
-    const std::uint8_t* failed = failed_.data();
-    std::atomic<std::uint64_t>* arb = arb_.data();
-    std::atomic<std::uint32_t>* cnt = counts_.data();
-    Cell* flat = eager_ ? flat_.data() : nullptr;
-    const std::uint64_t mc = module_count_;
-    const std::uint64_t spm = slots_per_module_;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = req[i];
-      if (r.module >= mc || (spm != 0 && r.slot >= spm)) {
-        if (bad == kNoBadIndex) bad = i;
-        continue;
-      }
-      const std::size_t m = static_cast<std::size_t>(r.module);
-      if (failed[m]) continue;
-      const std::uint64_t key = arbKey(r.processor, i);
-      if (key < arb[m].load(std::memory_order_relaxed)) {
-        arb[m].store(key, std::memory_order_relaxed);
-        // The current minimum is the candidate winner; pull its committed
-        // cell toward the cache so sweep 2's access doesn't stall on the
-        // (much larger than L2) flat store. Purely a hint — no effect on
-        // results.
-        if (flat != nullptr) {
-          __builtin_prefetch(&flat[m * spm + r.slot], 1, 1);
-        }
-      }
-      cnt[m].store(cnt[m].load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-    }
-  } else {
+  if (pool_.partitionWidth(n) > 1) {
     std::atomic<std::uint64_t> first_bad{kNoBadIndex};
     pool_.parallelFor(n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Request& r = requests[i];
-        if (r.module >= module_count_ ||
-            (slots_per_module_ != 0 && r.slot >= slots_per_module_)) {
-          atomicMin(first_bad, static_cast<std::uint64_t>(i));
-          continue;
-        }
-        if (failed_[static_cast<std::size_t>(r.module)]) continue;
-        if (eager_) {
-          // Warm the committed cell this entry would touch if it wins; the
-          // hint is redundant for losers but costs one instruction.
-          __builtin_prefetch(
-              &flat_[static_cast<std::size_t>(r.module) * slots_per_module_ +
-                     static_cast<std::size_t>(r.slot)],
-              1, 1);
-        }
-        atomicMin(arb_[static_cast<std::size_t>(r.module)],
-                  arbKey(r.processor, i));
-        counts_[static_cast<std::size_t>(r.module)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      atomicMin(first_bad, arbitrateRange<true>(requests.data(), lo, hi));
     });
     bad = first_bad.load(std::memory_order_relaxed);
+  } else {
+    bad = arbitrateRange<false>(requests.data(), 0, n);
   }
   if (bad != kNoBadIndex) {
     resetTouchedScratch(requests);
@@ -392,120 +478,38 @@ void Machine::stepFused(const std::vector<Request>& requests,
   metrics_.arbSeconds += arb_timer.seconds();
 
   util::Timer access_timer;
-  // Sweep 2: classify every request, perform the winning accesses, and
-  // write every Response field (no pre-clearing pass). The winner folds the
-  // module's contention count into the cycle peak and resets the arb/count
-  // slots it owns; losers racing that reset still classify correctly,
-  // because their key matches neither the winner's key nor the kNoWinner
-  // sentinel. Distinct winners own distinct modules, so cell and
-  // staged-table mutation is race-free; sparse-table insertion is confined
-  // to the winning thread of that module.
-  std::atomic<std::uint64_t> granted{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint32_t> peak{0};
-  // Drop-noise inputs hoisted out of the sweep: the per-cycle salt is the
-  // same for every module, so each winner only mixes in its module id (the
-  // resulting hash is exactly dropsGrant()'s).
-  const std::uint64_t* drop_thresholds =
-      has_drops_ ? drop_threshold_.data() : nullptr;
-  const std::uint64_t drop_salt =
-      plan_.seed ^ (lifetime_cycles_ * 0x9E3779B97F4A7C15ULL);
+  // Sweep 2: classify every request and write every Response field (no
+  // pre-clearing pass). The winner folds the module's contention count
+  // into the cycle peak and resets the arb/count slots it owns; losers
+  // racing that reset still classify correctly, because their key matches
+  // neither the winner's key nor the kNoWinner sentinel.
+  const DropContext drops(*this);
+  CycleTally total;
   pool_.parallelFor(n, [&](std::size_t lo, std::size_t hi) {
-    std::uint64_t local_granted = 0;
-    std::uint64_t local_dropped = 0;
-    std::uint32_t local_peak = 0;
+    CycleTally local;
     for (std::size_t i = lo; i < hi; ++i) {
       const Request& r = requests[i];
-      Response& resp = responses[i];
       const std::size_t m = static_cast<std::size_t>(r.module);
       if (failed_[m]) {
-        resp = Response{false, true, 0, 0};
-        continue;
+        responses[i] = Response{false, true, 0, 0};
+      } else if (arb_[m].load(std::memory_order_relaxed) !=
+                 arbKey(r.processor, i)) {
+        responses[i] = Response{false, false, 0, 0};
+      } else {
+        // Winner-owned bookkeeping: read the (final) contention count
+        // before clearing it. Only this request can observe its own key,
+        // so the reset executes exactly once per contested module.
+        local.peak =
+            std::max(local.peak, counts_[m].load(std::memory_order_relaxed));
+        arb_[m].store(kNoWinner, std::memory_order_relaxed);
+        counts_[m].store(0, std::memory_order_relaxed);
+        accessWinner(r, m, drops, responses[i], local);
       }
-      if (arb_[m].load(std::memory_order_relaxed) != arbKey(r.processor, i)) {
-        resp = Response{false, false, 0, 0};
-        continue;
-      }
-      // Winner-owned bookkeeping: read the (final) contention count before
-      // clearing it. Only this request can observe its own key, so the
-      // reset executes exactly once per contested module.
-      local_peak =
-          std::max(local_peak, counts_[m].load(std::memory_order_relaxed));
-      arb_[m].store(kNoWinner, std::memory_order_relaxed);
-      counts_[m].store(0, std::memory_order_relaxed);
-      // FaultPlan drop noise: the port is consumed but the grant is lost;
-      // the requester retries in a later cycle.
-      if (drop_thresholds != nullptr) {
-        const std::uint64_t threshold = drop_thresholds[m];
-        if (threshold != 0) {
-          util::SplitMix64 g(drop_salt ^
-                             (r.module * 0xA24BAED4963EE407ULL));
-          if (g.next() < threshold) {
-            ++local_dropped;
-            resp = Response{false, false, 0, 0, true};
-            continue;
-          }
-        }
-      }
-      Cell& cell = cellRef(r.module, r.slot);
-      switch (r.op) {
-        case Op::kRead:
-          break;
-        case Op::kWrite:
-          // Stage only: committed state is untouched until kCommit.
-          staged_[m].put(r.slot, Cell{r.value, r.timestamp});
-          break;
-        case Op::kCommit: {
-          Cell* entry = staged_[m].find(r.slot);
-          if (entry != nullptr && entry->timestamp == r.timestamp) {
-            cell = *entry;
-            staged_[m].erase(r.slot);
-          }
-          break;
-        }
-        case Op::kAbort: {
-          Cell* entry = staged_[m].find(r.slot);
-          if (entry != nullptr && entry->timestamp == r.timestamp) {
-            staged_[m].erase(r.slot);
-          }
-          break;
-        }
-        case Op::kRepair:
-          // Monotone: a repair can only move a copy forward in time.
-          if (r.timestamp > cell.timestamp) {
-            cell = Cell{r.value, r.timestamp};
-          }
-          break;
-      }
-      // Winners own their module this cycle, so the counter bump is
-      // race-free across workers.
-      if (!module_load_.empty()) {
-        ++module_load_[m];
-      }
-      resp.granted = true;
-      resp.moduleFailed = false;
-      resp.dropped = false;
-      resp.value = cell.value;
-      resp.timestamp = cell.timestamp;
-      ++local_granted;
     }
-    granted.fetch_add(local_granted, std::memory_order_relaxed);
-    dropped.fetch_add(local_dropped, std::memory_order_relaxed);
-    std::uint32_t cur = peak.load(std::memory_order_relaxed);
-    while (local_peak > cur &&
-           !peak.compare_exchange_weak(cur, local_peak,
-                                       std::memory_order_relaxed)) {
-    }
+    local.mergeInto(total);
   });
   metrics_.accessSeconds += access_timer.seconds();
-
-  metrics_.cycles += 1;
-  lifetime_cycles_ += 1;
-  metrics_.requestsIssued += requests.size();
-  metrics_.requestsGranted += granted.load(std::memory_order_relaxed);
-  metrics_.grantsDropped += dropped.load(std::memory_order_relaxed);
-  metrics_.maxModuleQueue = std::max<std::uint64_t>(
-      metrics_.maxModuleQueue, peak.load(std::memory_order_relaxed));
+  closeCycle(n, total);
 }
 
 void Machine::stepSharded(const std::vector<Request>& requests,
@@ -531,17 +535,15 @@ void Machine::stepSharded(const std::vector<Request>& requests,
   bucket_bounds_.resize(buckets + 1);
   bucket_entries_.resize(n);
   bucket_keys_.resize(n);
+  const auto bucket_of = [mc, spm](const Request& r) {
+    return (r.module >= mc || (spm != 0 && r.slot >= spm))
+               ? mc
+               : static_cast<std::size_t>(r.module);
+  };
   pool_.parallelFor(n, [&](std::size_t lo, std::size_t hi) {
     std::size_t* cnt = &part_counts_[(lo / chunk) * buckets];
     std::fill(cnt, cnt + buckets, 0);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Request& r = req[i];
-      const std::size_t b =
-          (r.module >= mc || (spm != 0 && r.slot >= spm))
-              ? mc
-              : static_cast<std::size_t>(r.module);
-      ++cnt[b];
-    }
+    for (std::size_t i = lo; i < hi; ++i) ++cnt[bucket_of(req[i])];
   });
   // Serial exclusive scan over (bucket, participant): bucket bounds for the
   // shard cuts, scatter offsets for pass 2.
@@ -562,14 +564,9 @@ void Machine::stepSharded(const std::vector<Request>& requests,
   pool_.parallelFor(n, [&](std::size_t lo, std::size_t hi) {
     std::size_t* offset = &part_counts_[(lo / chunk) * buckets];
     for (std::size_t i = lo; i < hi; ++i) {
-      const Request& r = req[i];
-      const std::size_t b =
-          (r.module >= mc || (spm != 0 && r.slot >= spm))
-              ? mc
-              : static_cast<std::size_t>(r.module);
-      const std::size_t o = offset[b]++;
+      const std::size_t o = offset[bucket_of(req[i])]++;
       bucket_entries_[o] = static_cast<std::uint32_t>(i);
-      bucket_keys_[o] = arbKey(r.processor, i);
+      bucket_keys_[o] = arbKey(req[i].processor, i);
     }
   });
   // Invalid requests never touched the per-module scratch (there is none to
@@ -584,13 +581,7 @@ void Machine::stepSharded(const std::vector<Request>& requests,
   metrics_.arbSeconds += arb_timer.seconds();
 
   util::Timer access_timer;
-  std::atomic<std::uint64_t> granted{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint32_t> peak{0};
-  const std::uint64_t* drop_thresholds =
-      has_drops_ ? drop_threshold_.data() : nullptr;
-  const std::uint64_t drop_salt =
-      plan_.seed ^ (lifetime_cycles_ * 0x9E3779B97F4A7C15ULL);
+  const DropContext drops(*this);
   const std::uint32_t* entries = bucket_entries_.data();
   const std::uint64_t* keys = bucket_keys_.data();
   const std::size_t* bounds = bucket_bounds_.data();
@@ -602,12 +593,11 @@ void Machine::stepSharded(const std::vector<Request>& requests,
   // Execution: each shard is a contiguous module range, cut at bucket
   // boundaries with near-equal wire-entry counts, so one worker owns a
   // module's arbitration, access, staging and peak bookkeeping outright —
-  // plain loads and stores throughout, merged into the cycle totals once
+  // plain loads and stores throughout, merged into the cycle total once
   // per shard.
+  CycleTally total;
   pool_.parallelForShards(bounds, mc, [&](std::size_t mlo, std::size_t mhi) {
-    std::uint64_t local_granted = 0;
-    std::uint64_t local_dropped = 0;
-    std::uint32_t local_peak = 0;
+    CycleTally local;
     for (std::size_t m = mlo; m < mhi; ++m) {
       const std::size_t b0 = bounds[m];
       const std::size_t b1 = bounds[m + 1];
@@ -652,83 +642,17 @@ void Machine::stepSharded(const std::vector<Request>& requests,
           }
         }
       }
-      local_peak = std::max(local_peak, static_cast<std::uint32_t>(b1 - b0));
+      local.peak = std::max(local.peak, static_cast<std::uint32_t>(b1 - b0));
       for (std::size_t e = b0; e < b1; ++e) {
         const std::size_t i = entries[e];
         if (i != win) responses[i] = Response{false, false, 0, 0};
       }
-      const Request& r = req[win];
-      Response& resp = responses[win];
-      // FaultPlan drop noise: the port is consumed but the grant is lost;
-      // the requester retries in a later cycle.
-      if (drop_thresholds != nullptr) {
-        const std::uint64_t threshold = drop_thresholds[m];
-        if (threshold != 0) {
-          util::SplitMix64 g(drop_salt ^ (r.module * 0xA24BAED4963EE407ULL));
-          if (g.next() < threshold) {
-            ++local_dropped;
-            resp = Response{false, false, 0, 0, true};
-            continue;
-          }
-        }
-      }
-      Cell& cell = cellRef(r.module, r.slot);
-      switch (r.op) {
-        case Op::kRead:
-          break;
-        case Op::kWrite:
-          // Stage only: committed state is untouched until kCommit.
-          staged_[m].put(r.slot, Cell{r.value, r.timestamp});
-          break;
-        case Op::kCommit: {
-          Cell* entry = staged_[m].find(r.slot);
-          if (entry != nullptr && entry->timestamp == r.timestamp) {
-            cell = *entry;
-            staged_[m].erase(r.slot);
-          }
-          break;
-        }
-        case Op::kAbort: {
-          Cell* entry = staged_[m].find(r.slot);
-          if (entry != nullptr && entry->timestamp == r.timestamp) {
-            staged_[m].erase(r.slot);
-          }
-          break;
-        }
-        case Op::kRepair:
-          // Monotone: a repair can only move a copy forward in time.
-          if (r.timestamp > cell.timestamp) {
-            cell = Cell{r.value, r.timestamp};
-          }
-          break;
-      }
-      if (!module_load_.empty()) {
-        ++module_load_[m];
-      }
-      resp.granted = true;
-      resp.moduleFailed = false;
-      resp.dropped = false;
-      resp.value = cell.value;
-      resp.timestamp = cell.timestamp;
-      ++local_granted;
+      accessWinner(req[win], m, drops, responses[win], local);
     }
-    granted.fetch_add(local_granted, std::memory_order_relaxed);
-    dropped.fetch_add(local_dropped, std::memory_order_relaxed);
-    std::uint32_t cur = peak.load(std::memory_order_relaxed);
-    while (local_peak > cur &&
-           !peak.compare_exchange_weak(cur, local_peak,
-                                       std::memory_order_relaxed)) {
-    }
+    local.mergeInto(total);
   });
   metrics_.accessSeconds += access_timer.seconds();
-
-  metrics_.cycles += 1;
-  lifetime_cycles_ += 1;
-  metrics_.requestsIssued += requests.size();
-  metrics_.requestsGranted += granted.load(std::memory_order_relaxed);
-  metrics_.grantsDropped += dropped.load(std::memory_order_relaxed);
-  metrics_.maxModuleQueue = std::max<std::uint64_t>(
-      metrics_.maxModuleQueue, peak.load(std::memory_order_relaxed));
+  closeCycle(n, total);
 }
 
 void Machine::stepReference(const std::vector<Request>& requests,

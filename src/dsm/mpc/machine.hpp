@@ -10,33 +10,27 @@
 // reproducible and independent of the number of worker threads used to
 // execute a cycle (the winner is an associative/commutative min).
 //
-// Hot path: three cycle implementations behind step(), chosen per cycle by
-// wire size and module count, all bit-identical (lowest-processor-id-wins
-// is a pure min, however it is computed):
-//   * serial    — wire below the fork grain (or a 1-thread pool): one fused
-//     validate+arbitrate+count sweep with plain relaxed ops and a
-//     candidate-winner cell prefetch, then the winner-owned access sweep.
-//   * sharded   — module_count < wire size: a stable counting sort
-//     partitions the wire into per-module buckets (persistent scratch, two
-//     parallel passes paired through the pool's fixed chunk partition),
-//     scattering each entry's arbitration key alongside its wire index;
-//     then parallelForShards hands each worker a contiguous MODULE range
-//     cut at bucket boundaries, so arbitration, access, staging and peak
-//     accounting for a module run on exactly one thread — no atomic-min, no
-//     lock-prefixed RMWs, no false sharing on the arbitration scratch. Per
-//     module the winner is a branch-free min-sweep over the contiguous key
-//     run (arb_sweep.hpp); DSM_FORCE_SCALAR keeps the compare-and-branch
-//     walk as its bit-identity oracle. Responses are still written at the
-//     original wire positions.
-//   * atomic    — modules outnumber the wire (contention is sparse, so a
-//     counting pass would cost more than it saves): sweep 1 fuses
-//     validation + arbitration + counting via commutative atomic-min;
-//     sweep 2 performs the winning access, writes every Response field,
-//     folds the cycle's peak contention into the metrics, and resets the
-//     arbitration scratch it touched (winner-owned reset: only the unique
-//     winner of a module can observe its own key, so it alone clears the
-//     slot while losers still classify correctly against either the
-//     winner's key or the cleared sentinel).
+// Hot path: step() picks one of three arbitration strategies per cycle by
+// wire size and module count. All three elect the same winner (lowest
+// processor id wins is a pure min, however it is computed) and hand it to
+// ONE access kernel, accessWinner(): drop noise, then the read / stage /
+// commit / abort / repair, then the reply. Each participant tallies its
+// grants, drops and peak contention privately; closeCycle() folds the
+// merged tally into the metrics.
+//   * serial    — the pool would not fork: one validate+arbitrate+count
+//     sweep with plain relaxed ops and a candidate-winner cell prefetch.
+//   * atomic    — the pool forks and modules outnumber the wire: the same
+//     sweep, run concurrently with commutative atomic-min and counting.
+//     Both then run a winner-owned access sweep: only the unique winner of
+//     a module observes its own key, so it alone reads the contention
+//     count and clears the scratch slot.
+//   * sharded   — the pool forks and module_count < wire size: a stable
+//     counting sort buckets the wire by module (two parallel passes paired
+//     through the pool's fixed chunk partition), and parallelForShards
+//     hands each worker whole modules, so a module's arbitration and
+//     access run on one thread with no atomics. The per-module winner is a
+//     branch-free min-sweep over the bucket's keys (arb_sweep.hpp);
+//     DSM_FORCE_SCALAR keeps the compare-and-branch walk as its oracle.
 // stepReference() preserves the original five-sweep cycle as a
 // differential oracle and benchmark baseline.
 //
@@ -319,7 +313,23 @@ class Machine {
   void applyDueFaultEvents();
   bool dropsGrant(std::uint64_t module) const;
   void resetTouchedScratch(const std::vector<Request>& requests);
-  /// The fused serial/atomic cycle (see file comment): sweep 1 validates,
+  struct DropContext;  // this cycle's drop-noise inputs (machine.cpp)
+  struct CycleTally;   // one participant's grant/drop/peak counts
+  /// The access kernel every step() path runs for a module's winner:
+  /// drop noise, the op, the load counter, the reply, the tally.
+  void accessWinner(const Request& r, std::size_t module,
+                    const DropContext& drops, Response& resp,
+                    CycleTally& tally);
+  /// Folds one finished cycle of n requests into the metrics and advances
+  /// the lifetime clock.
+  void closeCycle(std::size_t n, const CycleTally& tally);
+  /// Validate + arbitrate + count over wire entries [lo, hi); returns the
+  /// lowest invalid index in range (or ~0). kConcurrent selects atomic-min
+  /// and fetch_add for a sweep other participants run alongside.
+  template <bool kConcurrent>
+  std::uint64_t arbitrateRange(const Request* req, std::size_t lo,
+                               std::size_t hi);
+  /// The serial/atomic cycle (see file comment): sweep 1 validates,
   /// arbitrates and counts; sweep 2 accesses, records the peak and resets
   /// the scratch it owns.
   void stepFused(const std::vector<Request>& requests,

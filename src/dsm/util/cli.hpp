@@ -1,5 +1,6 @@
 // Minimal command-line flag parsing for the examples and benchmark drivers.
-// Flags have the form --name=value or --name value; unknown flags raise.
+// Flags have the form --name=value or --name value. Unknown flags are kept
+// but never read, so a misspelt flag silently leaves its default in place.
 #pragma once
 
 #include <cstdint>

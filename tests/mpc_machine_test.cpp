@@ -134,63 +134,6 @@ TEST(Machine, ArbitrationDeterministicAcrossThreadCounts) {
   }
 }
 
-// Differential oracle for the module-sharded path: with few modules, many
-// wire entries and a forking pool, step() takes the counting-sort + shard
-// route (no atomics in arbitration or access) and must still be
-// bit-identical to the five-pass stepReference() — grants, values, cells,
-// contention peaks and fault-plan drops included.
-TEST(Machine, ShardedStepMatchesReferenceOnSaturatedStreams) {
-  constexpr Op kOps[] = {Op::kRead, Op::kWrite, Op::kCommit, Op::kAbort,
-                         Op::kRepair};
-  for (const bool faulty : {false, true}) {
-    util::Xoshiro256 rng(faulty ? 0xBADCAB : 0xCABBA6E);
-    // 16 modules against >=512-entry cycles: module_count < n and
-    // partitionWidth > 1, so every step below runs the sharded path.
-    Machine fast(16, 8, 4);
-    Machine ref(16, 8, 4);
-    if (faulty) {
-      FaultPlan plan;
-      plan.failAt(4, 3).healAt(18, 3).transientAt(25, 9, 5);
-      plan.grantDropProbability = 0.2;
-      plan.seed = 21;
-      fast.setFaultPlan(plan);
-      ref.setFaultPlan(plan);
-    }
-    std::vector<Response> fast_resp;
-    std::vector<Response> ref_resp;
-    for (int cyc = 0; cyc < 40; ++cyc) {
-      std::vector<Request> reqs;
-      const int n = 512 + static_cast<int>(rng.below(512));
-      for (int i = 0; i < n; ++i) {
-        reqs.push_back(Request{static_cast<std::uint32_t>(rng.below(256)),
-                               rng.below(16), rng.below(8), kOps[rng.below(5)],
-                               rng.below(100), rng.below(8)});
-      }
-      fast.step(reqs, fast_resp);
-      ref.stepReference(reqs, ref_resp);
-      ASSERT_EQ(fast_resp.size(), ref_resp.size());
-      for (std::size_t i = 0; i < reqs.size(); ++i) {
-        ASSERT_EQ(fast_resp[i].granted, ref_resp[i].granted)
-            << "faulty=" << faulty << " cyc=" << cyc << " i=" << i;
-        ASSERT_EQ(fast_resp[i].moduleFailed, ref_resp[i].moduleFailed);
-        ASSERT_EQ(fast_resp[i].value, ref_resp[i].value);
-        ASSERT_EQ(fast_resp[i].timestamp, ref_resp[i].timestamp);
-      }
-    }
-    for (std::uint64_t mod = 0; mod < 16; ++mod) {
-      for (std::uint64_t s = 0; s < 8; ++s) {
-        EXPECT_EQ(fast.peek(mod, s).value, ref.peek(mod, s).value);
-        EXPECT_EQ(fast.peek(mod, s).timestamp, ref.peek(mod, s).timestamp);
-        EXPECT_EQ(fast.hasStagedEntry(mod, s), ref.hasStagedEntry(mod, s));
-      }
-    }
-    EXPECT_EQ(fast.metrics().requestsGranted, ref.metrics().requestsGranted);
-    EXPECT_EQ(fast.metrics().maxModuleQueue, ref.metrics().maxModuleQueue);
-    EXPECT_EQ(fast.metrics().grantsDropped, ref.metrics().grantsDropped);
-    EXPECT_EQ(fast.lifetimeCycles(), ref.lifetimeCycles());
-  }
-}
-
 TEST(ArbMinSweep, MatchesSerialMinOnAllShapes) {
   // The branch-free 4-way sweep must equal a plain serial min for every
   // count shape (tail lengths 0..3 around the unroll) and for minima at
@@ -214,57 +157,6 @@ TEST(ArbMinSweep, MatchesSerialMinOnAllShapes) {
   // All-max input (the accumulator sentinel value must still be returned).
   std::vector<std::uint64_t> all_max(9, ~0ULL);
   EXPECT_EQ(arbMinSweep(all_max.data(), all_max.size()), ~0ULL);
-}
-
-TEST(Machine, ShardedStepIdenticalUnderForceScalar) {
-  // The vectorized arbitration min-sweep against its forced-scalar oracle
-  // (the pre-vectorization compare-and-branch walk): same saturated
-  // streams, same faults, bit-identical responses, cells and metrics.
-  constexpr Op kOps[] = {Op::kRead, Op::kWrite, Op::kCommit, Op::kAbort,
-                         Op::kRepair};
-  util::Xoshiro256 rng(0xFACE);
-  Machine vec(16, 8, 4);
-  Machine scal(16, 8, 4);
-  FaultPlan plan;
-  plan.failAt(6, 2).healAt(20, 2);
-  plan.grantDropProbability = 0.15;
-  vec.setFaultPlan(plan);
-  scal.setFaultPlan(plan);
-  std::vector<Response> vec_resp;
-  std::vector<Response> scal_resp;
-  for (int cyc = 0; cyc < 30; ++cyc) {
-    std::vector<Request> reqs;
-    const int n = 512 + static_cast<int>(rng.below(256));
-    for (int i = 0; i < n; ++i) {
-      reqs.push_back(Request{static_cast<std::uint32_t>(rng.below(256)),
-                             rng.below(16), rng.below(8), kOps[rng.below(5)],
-                             rng.below(100), rng.below(8)});
-    }
-    // The seam is read once per step on this (serial) thread, so toggling
-    // between the two machines' steps is the documented safe pattern.
-    util::clearForceScalarOverride();
-    vec.step(reqs, vec_resp);
-    util::setForceScalarForTesting(true);
-    scal.step(reqs, scal_resp);
-    util::clearForceScalarOverride();
-    ASSERT_EQ(vec_resp.size(), scal_resp.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      ASSERT_EQ(vec_resp[i].granted, scal_resp[i].granted)
-          << "cyc=" << cyc << " i=" << i;
-      ASSERT_EQ(vec_resp[i].moduleFailed, scal_resp[i].moduleFailed);
-      ASSERT_EQ(vec_resp[i].value, scal_resp[i].value);
-      ASSERT_EQ(vec_resp[i].timestamp, scal_resp[i].timestamp);
-    }
-  }
-  for (std::uint64_t mod = 0; mod < 16; ++mod) {
-    for (std::uint64_t s = 0; s < 8; ++s) {
-      EXPECT_EQ(vec.peek(mod, s).value, scal.peek(mod, s).value);
-      EXPECT_EQ(vec.peek(mod, s).timestamp, scal.peek(mod, s).timestamp);
-    }
-  }
-  EXPECT_EQ(vec.metrics().requestsGranted, scal.metrics().requestsGranted);
-  EXPECT_EQ(vec.metrics().maxModuleQueue, scal.metrics().maxModuleQueue);
-  EXPECT_EQ(vec.metrics().grantsDropped, scal.metrics().grantsDropped);
 }
 
 TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
@@ -306,64 +198,160 @@ TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
   EXPECT_TRUE(resp[0].granted);
 }
 
-// Differential oracle: the fused two-sweep step() must be bit-identical to
-// stepReference() (the original five-pass cycle) on random mixed-op streams,
-// with and without a fault plan, on dense and sparse storage.
-TEST(Machine, StepMatchesReferenceOnRandomStreams) {
+// Table-driven differential oracle: every step() cycle path — serial
+// fused, atomic-min, module-sharded, and sharded on the forced-scalar
+// arbitration walk — against the five-pass stepReference(), on dense and
+// sparse storage, healthy and under a fail/heal script with grant drops.
+// Random all-op streams; every Response field, cell, staged entry,
+// deterministic metric, the lifetime clock and the per-module load must be
+// bit-identical. Each row checks through the public predicates that step()
+// really takes its path for every wire it runs; the tests below each run
+// the rows of one path.
+enum class CyclePath { kSerialFused, kAtomicMin, kSharded };
+
+struct CyclePathRow {
+  const char* name;
+  CyclePath path;
+  std::uint64_t modules;
+  std::uint64_t targeted;  // the wire hits modules [0, targeted)
+  unsigned threads;
+  std::size_t min_wire;  // wire length drawn from [min_wire, max_wire)
+  std::size_t max_wire;
+  bool force_scalar;
+};
+
+constexpr CyclePathRow kCyclePathRows[] = {
+    {"serial-fused/1-thread", CyclePath::kSerialFused, 8, 8, 1, 0, 1024,
+     false},
+    // Below the fork grain a 4-thread pool runs sweep 1 inline too.
+    {"serial-fused/small-wire", CyclePath::kSerialFused, 8, 8, 4, 0, 512,
+     false},
+    {"atomic-min", CyclePath::kAtomicMin, 4096, 64, 4, 512, 1024, false},
+    {"sharded", CyclePath::kSharded, 16, 16, 4, 512, 1024, false},
+    {"sharded/force-scalar", CyclePath::kSharded, 16, 16, 4, 512, 1024, true},
+};
+
+void expectRowMatchesReference(const CyclePathRow& row) {
   constexpr Op kOps[] = {Op::kRead, Op::kWrite, Op::kCommit, Op::kAbort,
                          Op::kRepair};
+  constexpr std::uint64_t kSlots = 8;
   for (const bool sparse : {false, true}) {
     for (const bool faulty : {false, true}) {
+      SCOPED_TRACE(std::string(row.name) + (sparse ? " sparse" : " dense") +
+                   (faulty ? " faulty" : " healthy"));
       util::Xoshiro256 rng(faulty ? 0xFACADE : 0xDECADE);
-      Machine fast(8, sparse ? 0 : 16, 4);
-      Machine ref(8, sparse ? 0 : 16, 4);
+      Machine fast(row.modules, sparse ? 0 : kSlots, row.threads);
+      Machine ref(row.modules, sparse ? 0 : kSlots, row.threads);
+      fast.enableLoadTracking();
+      ref.enableLoadTracking();
       if (faulty) {
         FaultPlan plan;
         plan.failAt(5, 2).healAt(20, 2).transientAt(30, 6, 4);
-        plan.grantDropProbability = 0.25;
+        plan.grantDropProbability = 0.2;
         plan.seed = 7;
         fast.setFaultPlan(plan);
         ref.setFaultPlan(plan);
       }
+      std::uint64_t failed_requests = 0;
       std::vector<Response> fast_resp;
       std::vector<Response> ref_resp;
-      for (int cyc = 0; cyc < 60; ++cyc) {
+      for (int cyc = 0; cyc < 40; ++cyc) {
+        const std::size_t n = static_cast<std::size_t>(
+            row.min_wire + rng.below(row.max_wire - row.min_wire));
         std::vector<Request> reqs;
-        const int n = static_cast<int>(rng.below(96));
-        for (int i = 0; i < n; ++i) {
-          reqs.push_back(Request{static_cast<std::uint32_t>(rng.below(64)),
-                                 rng.below(8), rng.below(16),
+        for (std::size_t i = 0; i < n; ++i) {
+          reqs.push_back(Request{static_cast<std::uint32_t>(rng.below(256)),
+                                 rng.below(row.targeted), rng.below(kSlots),
                                  kOps[rng.below(5)], rng.below(100),
                                  rng.below(8)});
         }
+        const bool forks = fast.pool().partitionWidth(n) > 1;
+        const bool dense_wire = fast.moduleCount() < n;
+        switch (row.path) {
+          case CyclePath::kSerialFused:
+            ASSERT_FALSE(forks) << "n=" << n;
+            break;
+          case CyclePath::kAtomicMin:
+            ASSERT_TRUE(forks && !dense_wire) << "n=" << n;
+            break;
+          case CyclePath::kSharded:
+            ASSERT_TRUE(forks && dense_wire) << "n=" << n;
+            break;
+        }
+        // The seam is read once per step on this (serial) thread, so
+        // toggling it around one machine's step is the safe pattern.
+        if (row.force_scalar) util::setForceScalarForTesting(true);
         fast.step(reqs, fast_resp);
+        util::clearForceScalarOverride();
         ref.stepReference(reqs, ref_resp);
         ASSERT_EQ(fast_resp.size(), ref_resp.size());
-        for (std::size_t i = 0; i < reqs.size(); ++i) {
-          ASSERT_EQ(fast_resp[i].granted, ref_resp[i].granted)
-              << "sparse=" << sparse << " faulty=" << faulty << " cyc=" << cyc
-              << " i=" << i;
-          ASSERT_EQ(fast_resp[i].moduleFailed, ref_resp[i].moduleFailed);
-          ASSERT_EQ(fast_resp[i].value, ref_resp[i].value);
-          ASSERT_EQ(fast_resp[i].timestamp, ref_resp[i].timestamp);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Response& got = fast_resp[i];
+          const Response& want = ref_resp[i];
+          ASSERT_EQ(got.granted, want.granted) << "cyc=" << cyc << " i=" << i;
+          ASSERT_EQ(got.moduleFailed, want.moduleFailed) << "cyc=" << cyc;
+          ASSERT_EQ(got.value, want.value) << "cyc=" << cyc << " i=" << i;
+          ASSERT_EQ(got.timestamp, want.timestamp) << "cyc=" << cyc;
+          ASSERT_EQ(got.dropped, want.dropped) << "cyc=" << cyc << " i=" << i;
+          failed_requests += got.moduleFailed;
         }
       }
-      for (std::uint64_t mod = 0; mod < 8; ++mod) {
-        for (std::uint64_t s = 0; s < 16; ++s) {
+      for (std::uint64_t mod = 0; mod < row.targeted; ++mod) {
+        for (std::uint64_t s = 0; s < kSlots; ++s) {
           EXPECT_EQ(fast.peek(mod, s).value, ref.peek(mod, s).value);
           EXPECT_EQ(fast.peek(mod, s).timestamp, ref.peek(mod, s).timestamp);
           EXPECT_EQ(fast.hasStagedEntry(mod, s), ref.hasStagedEntry(mod, s));
         }
       }
-      EXPECT_EQ(fast.metrics().cycles, ref.metrics().cycles);
-      EXPECT_EQ(fast.metrics().requestsIssued, ref.metrics().requestsIssued);
-      EXPECT_EQ(fast.metrics().requestsGranted,
-                ref.metrics().requestsGranted);
-      EXPECT_EQ(fast.metrics().maxModuleQueue, ref.metrics().maxModuleQueue);
-      EXPECT_EQ(fast.metrics().grantsDropped, ref.metrics().grantsDropped);
+      const MachineMetrics& got = fast.metrics();
+      const MachineMetrics& want = ref.metrics();
+      EXPECT_EQ(got.cycles, want.cycles);
+      EXPECT_EQ(got.requestsIssued, want.requestsIssued);
+      EXPECT_EQ(got.requestsGranted, want.requestsGranted);
+      EXPECT_EQ(got.maxModuleQueue, want.maxModuleQueue);
+      EXPECT_EQ(got.grantsDropped, want.grantsDropped);
+      EXPECT_EQ(got.networkCycles, want.networkCycles);
+      EXPECT_EQ(got.networkPackets, want.networkPackets);
+      EXPECT_EQ(got.networkMaxQueue, want.networkMaxQueue);
+      EXPECT_EQ(got.networkIdealCycles, want.networkIdealCycles);
+      EXPECT_EQ(got.networkStretch, want.networkStretch);
       EXPECT_EQ(fast.lifetimeCycles(), ref.lifetimeCycles());
+      EXPECT_EQ(fast.moduleLoad(), ref.moduleLoad());
+      // The fault script and the drop noise genuinely ran.
+      EXPECT_EQ(failed_requests > 0, faulty);
+      EXPECT_EQ(got.grantsDropped > 0, faulty);
     }
   }
+}
+
+// Runs every table row on `path` whose forced-scalar flag is `force_scalar`.
+void expectPathMatchesReference(CyclePath path, bool force_scalar) {
+  int rows_run = 0;
+  for (const CyclePathRow& row : kCyclePathRows) {
+    if (row.path != path || row.force_scalar != force_scalar) continue;
+    expectRowMatchesReference(row);
+    ++rows_run;
+  }
+  EXPECT_GT(rows_run, 0);
+}
+
+// Serial fused sweeps: one-thread pool, and small wires on a 4-thread pool.
+TEST(Machine, StepMatchesReferenceOnRandomStreams) {
+  expectPathMatchesReference(CyclePath::kSerialFused, false);
+}
+
+TEST(Machine, AtomicMinStepMatchesReference) {
+  expectPathMatchesReference(CyclePath::kAtomicMin, false);
+}
+
+TEST(Machine, ShardedStepMatchesReferenceOnSaturatedStreams) {
+  expectPathMatchesReference(CyclePath::kSharded, false);
+}
+
+// The forced-scalar walk matches the same oracle as the vectorized sharded
+// rows, so the two are bit-identical to each other.
+TEST(Machine, ShardedStepIdenticalUnderForceScalar) {
+  expectPathMatchesReference(CyclePath::kSharded, true);
 }
 
 TEST(Machine, StepUsableAfterAddressThrow) {

@@ -11,6 +11,7 @@
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "result_compare.hpp"
 
 namespace dsm::protocol {
 namespace {
@@ -25,25 +26,6 @@ MachineTally tally(const mpc::Machine& m) {
   const mpc::MachineMetrics& mm = m.metrics();
   return {mm.cycles, mm.requestsIssued, mm.requestsGranted,
           mm.maxModuleQueue, mm.grantsDropped};
-}
-
-void expectSameResults(const std::vector<AccessResult>& got,
-                       const std::vector<AccessResult>& want,
-                       const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t b = 0; b < want.size(); ++b) {
-    EXPECT_EQ(got[b].values, want[b].values) << what << " batch=" << b;
-    EXPECT_EQ(got[b].totalIterations, want[b].totalIterations)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].phaseIterations, want[b].phaseIterations)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].liveTrajectory, want[b].liveTrajectory)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].modeledSteps, want[b].modeledSteps)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].unsatisfiable, want[b].unsatisfiable)
-        << what << " batch=" << b;
-  }
 }
 
 // Engine-side counters: every wire request and every fault-path counter

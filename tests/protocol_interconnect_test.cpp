@@ -20,6 +20,7 @@
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "result_compare.hpp"
 
 namespace dsm::protocol {
 namespace {
@@ -83,46 +84,6 @@ StreamRun runStream(const scheme::PpScheme& s,
   return out;
 }
 
-// Byte-for-byte equality of everything an AccessResult carries.
-void expectIdentical(const std::vector<AccessResult>& a,
-                     const std::vector<AccessResult>& b,
-                     const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].values, b[i].values) << what << " batch " << i;
-    EXPECT_EQ(a[i].totalIterations, b[i].totalIterations)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].phaseIterations, b[i].phaseIterations)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].liveTrajectory, b[i].liveTrajectory)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].modeledSteps, b[i].modeledSteps)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].unsatisfiable, b[i].unsatisfiable)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].networkCycles, b[i].networkCycles)
-        << what << " batch " << i;
-  }
-}
-
-// Outcome equality only — networkCycles differs between backends by design.
-void expectSameOutcome(const std::vector<AccessResult>& a,
-                       const std::vector<AccessResult>& b,
-                       const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].values, b[i].values) << what << " batch " << i;
-    EXPECT_EQ(a[i].totalIterations, b[i].totalIterations)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].phaseIterations, b[i].phaseIterations)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].liveTrajectory, b[i].liveTrajectory)
-        << what << " batch " << i;
-    EXPECT_EQ(a[i].unsatisfiable, b[i].unsatisfiable)
-        << what << " batch " << i;
-  }
-}
-
 class InterconnectProtocolTest : public ::testing::Test {
  protected:
   const scheme::PpScheme s_{1, 5};
@@ -137,7 +98,7 @@ TEST_F(InterconnectProtocolTest, CrossbarBitIdentityMajority) {
                                                   faults, Backend::kNone);
       const StreamRun xbar = runStream<MajorityEngine>(s_, stream_, threads,
                                                  faults, Backend::kCrossbar);
-      expectIdentical(plain.results, xbar.results, "majority/crossbar");
+      expectSameResults(plain.results, xbar.results, "majority/crossbar");
       EXPECT_EQ(xbar.engineNetworkCycles, 0u);
       EXPECT_EQ(xbar.machineNetworkCycles, 0u);
     }
@@ -151,7 +112,7 @@ TEST_F(InterconnectProtocolTest, CrossbarBitIdentitySingleOwner) {
                                                      faults, Backend::kNone);
       const StreamRun xbar = runStream<SingleOwnerEngine>(
           s_, stream_, threads, faults, Backend::kCrossbar);
-      expectIdentical(plain.results, xbar.results, "single-owner/crossbar");
+      expectSameResults(plain.results, xbar.results, "single-owner/crossbar");
       EXPECT_EQ(xbar.engineNetworkCycles, 0u);
     }
   }
@@ -163,7 +124,10 @@ TEST_F(InterconnectProtocolTest, ButterflyMatchesCrossbarOutcomes) {
         runStream<MajorityEngine>(s_, stream_, 1, faults, Backend::kCrossbar);
     const StreamRun bfly = runStream<MajorityEngine>(s_, stream_, 1, faults,
                                                Backend::kButterfly);
-    expectSameOutcome(xbar.results, bfly.results, "butterfly-vs-crossbar");
+    // networkCycles is the butterfly's delivery price (zero on the
+    // crossbar), so only the outcome fields can match across backends.
+    expectSameResults(xbar.results, bfly.results, "butterfly-vs-crossbar",
+                      NetworkCycles::kIgnore);
     // The network prices every batch, and the figures add up: per-batch
     // deltas == engine total == machine total.
     std::uint64_t sum = 0;
@@ -183,7 +147,7 @@ TEST_F(InterconnectProtocolTest, ButterflyNetworkCostThreadIdentity) {
     const StreamRun forked = runStream<MajorityEngine>(
         s_, stream_, mpc::ThreadPool::defaultThreads(), faults,
         Backend::kButterfly);
-    expectIdentical(serial.results, forked.results, "butterfly-threads");
+    expectSameResults(serial.results, forked.results, "butterfly-threads");
     EXPECT_GT(serial.engineNetworkCycles, 0u);
     EXPECT_EQ(serial.engineNetworkCycles, forked.engineNetworkCycles);
     EXPECT_EQ(serial.machineNetworkCycles, forked.machineNetworkCycles);
@@ -199,7 +163,7 @@ TEST_F(InterconnectProtocolTest, ReferenceEnginePricesIdentically) {
                                                Backend::kButterfly);
     const StreamRun ref = runStream<ReferenceMajorityEngine>(
         s_, stream_, 1, faults, Backend::kButterfly);
-    expectIdentical(fast.results, ref.results, "reference-parity");
+    expectSameResults(fast.results, ref.results, "reference-parity");
     EXPECT_EQ(fast.engineNetworkCycles, ref.engineNetworkCycles);
   }
 }

@@ -14,6 +14,7 @@
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "result_compare.hpp"
 
 namespace dsm::protocol {
 namespace {
@@ -23,15 +24,6 @@ namespace {
 const scheme::PpScheme& testScheme() {
   static const scheme::PpScheme s(1, 5);
   return s;
-}
-
-void expectSameResults(const AccessResult& a, const AccessResult& b,
-                       const std::string& what) {
-  EXPECT_EQ(a.values, b.values) << what;
-  EXPECT_EQ(a.totalIterations, b.totalIterations) << what;
-  EXPECT_EQ(a.phaseIterations, b.phaseIterations) << what;
-  EXPECT_EQ(a.liveTrajectory, b.liveTrajectory) << what;
-  EXPECT_EQ(a.unsatisfiable, b.unsatisfiable) << what;
 }
 
 // The planner's deterministic choice for a single-request read on an empty
@@ -90,7 +82,7 @@ void escalationOnPlannedDeath() {
   for (const unsigned threads : {2u, 4u}) {
     const AccessResult at =
         runSingleReadWithPlannedDeath<Engine>(threads, nullptr);
-    expectSameResults(serial, at,
+    expectSameResult(serial, at,
                       "escalation @ " + std::to_string(threads) + " threads");
   }
 }
@@ -143,7 +135,7 @@ void writeKeepsFullAttack() {
   on.setPlannerEnabled(true);
   const std::vector<AccessRequest> batch{{3, mpc::Op::kWrite, 30},
                                          {8, mpc::Op::kWrite, 80}};
-  expectSameResults(on.execute(batch), off.execute(batch), "write batch");
+  expectSameResult(on.execute(batch), off.execute(batch), "write batch");
   // Writes keep their full r-copy attack: same wire traffic, no savings.
   EXPECT_EQ(on.metrics().wireRequests, off.metrics().wireRequests);
   EXPECT_EQ(on.metrics().plannedWireSavings, 0u);
@@ -202,7 +194,7 @@ void valuesMatchUnderDrops() {
   // thread counts: drops and plans are both pure functions of the history.
   const auto [on4, on4_metrics] = run(true, 4);
   for (std::size_t k = 0; k < on.size(); ++k) {
-    expectSameResults(on[k], on4[k], "drops batch " + std::to_string(k));
+    expectSameResult(on[k], on4[k], "drops batch " + std::to_string(k));
   }
   EXPECT_EQ(on4_metrics.escalations, on_metrics.escalations);
   EXPECT_EQ(on4_metrics.plannedWireSavings, on_metrics.plannedWireSavings);
@@ -309,7 +301,7 @@ TEST(Planner, PlanIsPureFunctionOfBatch) {
   };
   const auto [cold, cold_wire] = run(false);
   const auto [warm, warm_wire] = run(true);
-  expectSameResults(cold, warm, "same batch, different history");
+  expectSameResult(cold, warm, "same batch, different history");
   EXPECT_EQ(cold_wire, warm_wire);
 }
 

@@ -24,30 +24,10 @@
 #include "dsm/util/assert.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "result_compare.hpp"
 
 namespace dsm::protocol {
 namespace {
-
-void expectSameResults(const std::vector<AccessResult>& got,
-                       const std::vector<AccessResult>& want,
-                       const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t b = 0; b < want.size(); ++b) {
-    EXPECT_EQ(got[b].values, want[b].values) << what << " batch=" << b;
-    EXPECT_EQ(got[b].totalIterations, want[b].totalIterations)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].phaseIterations, want[b].phaseIterations)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].liveTrajectory, want[b].liveTrajectory)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].modeledSteps, want[b].modeledSteps)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].networkCycles, want[b].networkCycles)
-        << what << " batch=" << b;
-    EXPECT_EQ(got[b].unsatisfiable, want[b].unsatisfiable)
-        << what << " batch=" << b;
-  }
-}
 
 // Writes flow into later reads, so the continuation after a throw only
 // matches the skip-run if the machine's memory survived batches 0..k
