@@ -101,9 +101,9 @@ EngineRun runEngine(const scheme::PpScheme& s,
   return out;
 }
 
-// Everything that must be bit-identical across backends AND thread counts:
-// the protocol outcome. (networkCycles is compared separately — it is
-// thread-deterministic but differs between backends by design.)
+// Everything that must be bit-identical across backends: the protocol
+// outcome. (networkCycles differs between backends by design; across
+// thread counts on one backend the whole AccessResult must match.)
 bool sameOutcome(const std::vector<protocol::AccessResult>& a,
                  const std::vector<protocol::AccessResult>& b) {
   if (a.size() != b.size()) return false;
@@ -115,15 +115,6 @@ bool sameOutcome(const std::vector<protocol::AccessResult>& a,
         a[i].modeledSteps != b[i].modeledSteps) {
       return false;
     }
-  }
-  return true;
-}
-
-bool sameNetwork(const std::vector<protocol::AccessResult>& a,
-                 const std::vector<protocol::AccessResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].networkCycles != b[i].networkCycles) return false;
   }
   return true;
 }
@@ -195,7 +186,7 @@ int main(int argc, char** argv) {
       bool row_ok = true;
       for (const EngineRun& r : runs) {
         row_ok = row_ok && sameOutcome(r.results, xbar.results);
-        row_ok = row_ok && sameNetwork(r.results, runs.front().results);
+        row_ok = row_ok && r.results == runs.front().results;
         row_ok = row_ok &&
                  r.machine.networkCycles == runs.front().machine.networkCycles &&
                  r.machine.networkPackets == runs.front().machine.networkPackets &&

@@ -26,22 +26,7 @@ struct RunOutcome {
 };
 
 bool sameResults(const RunOutcome& a, const RunOutcome& b) {
-  if (a.results.size() != b.results.size()) return false;
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    if (a.results[i].values != b.results[i].values) return false;
-    if (a.results[i].unsatisfiable != b.results[i].unsatisfiable) return false;
-    if (a.results[i].totalIterations != b.results[i].totalIterations) {
-      return false;
-    }
-  }
-  const auto& fa = a.metrics.faults;
-  const auto& fb = b.metrics.faults;
-  return fa.deadCopies == fb.deadCopies &&
-         fa.stagedAborted == fb.stagedAborted &&
-         fa.repairsPerformed == fb.repairsPerformed &&
-         fa.commitsLost == fb.commitsLost && fa.abortsLost == fb.abortsLost &&
-         fa.unsatisfiable == fb.unsatisfiable &&
-         fa.degradedQuorum == fb.degradedQuorum;
+  return a.results == b.results && a.metrics.faults == b.metrics.faults;
 }
 
 }  // namespace

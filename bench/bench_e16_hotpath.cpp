@@ -1,10 +1,12 @@
 // E16 — hot-path overhaul: (A) raw Machine::step throughput on a saturated
-// wire, fused two-sweep cycle vs the five-pass stepReference, and (B)
+// wire, fused two-sweep cycle vs the five-pass mpc::ReferenceCycle, and (B)
 // end-to-end stream throughput, persistent-wire MajorityEngine vs the
-// from-scratch ReferenceMajorityEngine on the E14 hot-pool workload. Both
-// parts run fault-free and under a FaultPlan, at 1 and many threads, and
-// every configuration's outputs must be bit-identical to its reference —
-// the overhaul buys throughput, never different answers.
+// from-scratch ReferenceMajorityEngine on the E14 hot-pool workload (both
+// oracles from dsm_oracle). The reference stream runs as the pre-overhaul
+// strictly serial batch loop: one execute() per batch, no prepare overlap.
+// Both parts run fault-free and under a FaultPlan, at 1 and many threads,
+// and every configuration's outputs must be bit-identical to its reference
+// — the overhaul buys throughput, never different answers.
 //
 // --smoke shrinks every dimension to seconds-scale and asserts only the
 // bit-identity gates (ctest runs it under the `perf` label); a full run
@@ -17,12 +19,12 @@
 
 #include "bench_common.hpp"
 #include "dsm/protocol/engines.hpp"
-#include "dsm/protocol/reference_engine.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/assert.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/util/timer.hpp"
 #include "dsm/workload/generators.hpp"
+#include "oracle/reference_engine.hpp"
 
 namespace {
 
@@ -30,18 +32,6 @@ using namespace dsm;
 
 constexpr mpc::Op kOps[] = {mpc::Op::kRead, mpc::Op::kWrite, mpc::Op::kCommit,
                             mpc::Op::kAbort, mpc::Op::kRepair};
-
-bool sameResponses(const std::vector<mpc::Response>& a,
-                   const std::vector<mpc::Response>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].granted != b[i].granted || a[i].moduleFailed != b[i].moduleFailed ||
-        a[i].value != b[i].value || a[i].timestamp != b[i].timestamp) {
-      return false;
-    }
-  }
-  return true;
-}
 
 mpc::FaultPlan dropPlan() {
   mpc::FaultPlan plan;
@@ -88,6 +78,7 @@ StepRun runStepBench(std::uint64_t modules, std::uint64_t slots,
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     mpc::Machine fast(modules, slots, threads);
     mpc::Machine ref(modules, slots, threads);
+    mpc::ReferenceCycle oracle(ref);
     if (faults) {
       fast.setFaultPlan(dropPlan());
       ref.setFaultPlan(dropPlan());
@@ -103,9 +94,9 @@ StepRun runStepBench(std::uint64_t modules, std::uint64_t slots,
       fast.step(wire, fast_resp);
       fast_secs += t.seconds();
       t.reset();
-      ref.stepReference(wire, ref_resp);
+      oracle.step(wire, ref_resp);
       ref_secs += t.seconds();
-      out.identical = out.identical && sameResponses(fast_resp, ref_resp);
+      out.identical = out.identical && fast_resp == ref_resp;
     }
     const auto& fm = fast.metrics();
     const auto& rm = ref.metrics();
@@ -149,21 +140,6 @@ struct StreamRun {
   protocol::EngineMetrics fast_metrics;
 };
 
-bool sameResults(const std::vector<protocol::AccessResult>& a,
-                 const std::vector<protocol::AccessResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].values != b[i].values ||
-        a[i].totalIterations != b[i].totalIterations ||
-        a[i].phaseIterations != b[i].phaseIterations ||
-        a[i].liveTrajectory != b[i].liveTrajectory ||
-        a[i].unsatisfiable != b[i].unsatisfiable) {
-      return false;
-    }
-  }
-  return true;
-}
-
 StreamRun runStreamBench(
     const scheme::PpScheme& s,
     const std::vector<std::vector<protocol::AccessRequest>>& stream,
@@ -185,11 +161,12 @@ StreamRun runStreamBench(
     mpc::Machine m(s.numModules(), s.slotsPerModule(), threads);
     if (faults) m.setFaultPlan(dropPlan());
     protocol::ReferenceMajorityEngine eng(s, m);
+    ref_results.reserve(stream.size());
     t.reset();
-    ref_results = eng.executeStream(stream);
+    for (const auto& batch : stream) ref_results.push_back(eng.execute(batch));
     out.ref_secs = t.seconds();
   }
-  out.identical = sameResults(fast_results, ref_results);
+  out.identical = fast_results == ref_results;
   return out;
 }
 
@@ -256,7 +233,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   double worst_step_speedup = 1e18;
 
-  // Part A: saturated-wire step throughput, fused step vs stepReference.
+  // Part A: saturated-wire step throughput, fused step vs reference cycle.
   const std::uint64_t wire_entries = modules * per_module;
   util::TextTable step_table({"threads", "faults", "ref Mentr/s",
                               "fused Mentr/s", "speedup", "identical"});

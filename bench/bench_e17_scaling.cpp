@@ -59,21 +59,6 @@ std::vector<std::vector<protocol::AccessRequest>> hotPoolStream(
   return stream;
 }
 
-bool sameResults(const std::vector<protocol::AccessResult>& a,
-                 const std::vector<protocol::AccessResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].values != b[i].values ||
-        a[i].totalIterations != b[i].totalIterations ||
-        a[i].phaseIterations != b[i].phaseIterations ||
-        a[i].liveTrajectory != b[i].liveTrajectory ||
-        a[i].unsatisfiable != b[i].unsatisfiable) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct Run {
   double secs = 1e18;  ///< best-of-reps wall time for the whole stream
   bool reps_agree = true;
@@ -103,7 +88,7 @@ Run runAt(const scheme::PpScheme& s,
     if (rep == 0) {
       out.results = std::move(results);
     } else {
-      out.reps_agree = out.reps_agree && sameResults(results, out.results);
+      out.reps_agree = out.reps_agree && results == out.results;
     }
   }
   return out;
@@ -183,7 +168,7 @@ int main(int argc, char** argv) {
                                 faults, reps);
       const bool identical =
           r.reps_agree &&
-          (threads == 1 || sameResults(r.results, serial.results));
+          (threads == 1 || r.results == serial.results);
       const double speedup = serial.secs / r.secs;
       // Only rows the host can genuinely parallelise carry a speed gate;
       // an oversubscribed pool measures the scheduler, not this code.

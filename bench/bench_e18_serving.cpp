@@ -2,16 +2,20 @@
 //
 // Synthetic clients drive the AdmissionScheduler at a controlled offered
 // load (a multiple of the configured service capacity maxBatch *
-// maxBatchesPerPump per tick) with a fixed per-request deadline. Each row
-// reports p50/p99 latency (wall ms and virtual ticks), goodput and the loss
-// split (shed vs rejected). The table should show a saturation knee at
-// offered ≈ 1.0 and *graceful* overload past it: goodput holds near
-// capacity (work is shed by deadline and rejected by backpressure — the
-// queue never grows without bound and fresh work is never stalled behind
-// doomed work).
+// maxBatchesPerPump per tick) with a fixed per-request deadline. Hot-key
+// combining is off: every request then takes its own protocol slot, so that
+// product is the distinct-slot capacity the sweep measures (E19 measures
+// combining). Each row reports p50/p99 latency (wall ms and virtual ticks),
+// goodput and the loss split (shed vs rejected). The table should show a
+// saturation knee just above offered = 1.0 and *graceful* overload past it:
+// goodput holds near capacity (work is shed by deadline and rejected by
+// backpressure — the queue never grows without bound and fresh work is
+// never stalled behind doomed work).
 //
 // Gates (exit code 1 on violation):
 //   * no loss (shed + queue-full) below 0.9x offered load;
+//   * a saturation knee (first row with >1% loss) inside the sweep, above
+//     1.0x offered load;
 //   * goodput at the heaviest overload >= 0.7x the best row (non-collapse);
 //   * served p99 tick latency <= deadline on every row (shed, not stalled);
 //   * one overloaded row replayed at 1 and 3 machine threads produces
@@ -75,6 +79,7 @@ RowStats runRow(const scheme::PpScheme& scheme, double offered_factor,
   cfg.maxBatchesPerPump = params.batches_per_pump;
   cfg.maxWaitTicks = params.max_wait_ticks;
   cfg.queueCapacity = 16 * params.max_batch;
+  cfg.combineDuplicates = false;  // capacity = distinct slots (file comment)
   cfg.recordBatches = record;
   serve::AdmissionScheduler sched(engine, cfg);
 
@@ -151,17 +156,7 @@ RowStats runRow(const scheme::PpScheme& scheme, double offered_factor,
 }
 
 bool sameRuns(const RowStats& a, const RowStats& b) {
-  if (a.batches.size() != b.batches.size()) return false;
-  for (std::size_t i = 0; i < a.batches.size(); ++i) {
-    if (a.batches[i].size() != b.batches[i].size()) return false;
-    for (std::size_t j = 0; j < a.batches[i].size(); ++j) {
-      const protocol::AccessRequest& x = a.batches[i][j];
-      const protocol::AccessRequest& y = b.batches[i][j];
-      if (x.variable != y.variable || x.op != y.op || x.value != y.value) {
-        return false;
-      }
-    }
-  }
+  if (a.batches != b.batches) return false;
   if (a.responses.size() != b.responses.size()) return false;
   for (std::size_t i = 0; i < a.responses.size(); ++i) {
     const serve::Response& x = a.responses[i];
@@ -280,6 +275,12 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
+  if (knee <= 1.0) {
+    std::cout << "  GATE FAIL: no saturation knee above offered=1.0 inside "
+                 "the sweep (knee="
+              << knee << ")\n";
+    ok = false;
+  }
   const RowStats& heaviest = rows.back();
   if (heaviest.goodput_per_tick < 0.7 * best_goodput) {
     std::cout << "  GATE FAIL: goodput collapse under overload ("
@@ -328,6 +329,7 @@ int main(int argc, char** argv) {
     cfg.set("sessions", static_cast<std::uint64_t>(params.sessions));
     cfg.set("varPool", params.var_pool);
     cfg.set("queueCapacity", static_cast<std::uint64_t>(16 * params.max_batch));
+    cfg.set("combineDuplicates", false);
     cfg.set("capacityPerTick", capacity);
     cfg.set("seed", params.seed);
     root.set("config", std::move(cfg));

@@ -65,21 +65,6 @@ double coldResolve(scheme::CopyCache& cache, const scheme::PpScheme& s,
   return t.seconds();
 }
 
-bool sameResults(const std::vector<protocol::AccessResult>& a,
-                 const std::vector<protocol::AccessResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].values != b[i].values ||
-        a[i].totalIterations != b[i].totalIterations ||
-        a[i].phaseIterations != b[i].phaseIterations ||
-        a[i].liveTrajectory != b[i].liveTrajectory ||
-        a[i].unsatisfiable != b[i].unsatisfiable) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct StreamRun {
   double secs = 0.0;
   std::vector<protocol::AccessResult> results;
@@ -235,7 +220,7 @@ int main(int argc, char** argv) {
         const StreamRun r = runColdStream(s, stream, threads, faults);
         util::clearForceScalarOverride();
         if (grid_ref[faults].empty()) grid_ref[faults] = r.results;
-        const bool identical = sameResults(r.results, grid_ref[faults]);
+        const bool identical = r.results == grid_ref[faults];
         all_identical = all_identical && identical;
         const double occupancy =
             r.metrics.addrBatchChunks == 0

@@ -52,19 +52,6 @@ bool sameValues(const std::vector<AccessResult>& a,
   return true;
 }
 
-bool sameFull(const std::vector<AccessResult>& a,
-              const std::vector<AccessResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].values != b[i].values) return false;
-    if (a[i].totalIterations != b[i].totalIterations) return false;
-    if (a[i].phaseIterations != b[i].phaseIterations) return false;
-    if (a[i].liveTrajectory != b[i].liveTrajectory) return false;
-    if (a[i].unsatisfiable != b[i].unsatisfiable) return false;
-  }
-  return true;
-}
-
 bool noUnsat(const std::vector<AccessResult>& a) {
   for (const auto& r : a) {
     if (!r.unsatisfiable.empty()) return false;
@@ -286,7 +273,7 @@ int main(int argc, char** argv) {
           const LegResult leg = runStream<Engine>(
               s, stream, threads, planner, faults ? &plan : nullptr);
           if (threads == 1) serial_ref = leg.results;
-          const bool identical = sameFull(leg.results, serial_ref);
+          const bool identical = leg.results == serial_ref;
           const bool vs_off =
               planner ? sameValues(leg.results, off_values) : true;
           const bool ok = identical && vs_off && noUnsat(leg.results);

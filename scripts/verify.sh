@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge verify: tier-1 (full suite, release) + sanitized fault/recovery
+# Pre-merge verify: tier-1 (full suite, release) + a build of the
+# repository benchmark (perfbench) + sanitized fault/recovery
 # suite (ASan + UBSan) + race check (ThreadSanitizer over the seven
 # `tsan`-labelled suites: mpc_machine, mpc_interconnect, protocol_engines,
 # protocol_stream_errors, protocol_hotpath, protocol_planner, serve).
@@ -18,6 +19,10 @@ echo "== tier-1: configure + build + ctest (preset: default) =="
 cmake --preset default
 cmake --build --preset default
 ctest --preset default
+
+echo "== benchmark build: perfbench over src/ alone (compiles against engine/machine internals) =="
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench --target perfbench
 
 echo "== perf smoke: bit-identity + serving + planner gates (ctest -L perf: e13/e16/e17/e18/e19/e20/e21/e22) =="
 ctest --test-dir build -L perf --output-on-failure

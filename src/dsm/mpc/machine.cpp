@@ -52,10 +52,8 @@ Machine::Machine(std::uint64_t module_count, std::uint64_t slots_per_module,
                  Cell{});
   } else {
     sparse_.resize(static_cast<std::size_t>(module_count));
-    sparse_ref_.resize(static_cast<std::size_t>(module_count));
   }
   staged_.resize(static_cast<std::size_t>(module_count));
-  staged_ref_.resize(static_cast<std::size_t>(module_count));
   for (auto& a : arb_) a.store(kNoWinner, std::memory_order_relaxed);
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
   failed_.assign(static_cast<std::size_t>(module_count), 0);
@@ -74,7 +72,7 @@ void Machine::setInterconnect(std::unique_ptr<Interconnect> backend) {
   }
   interconnect_ = std::move(backend);
   // Zero-cost backends (and none at all) keep the cycle paths pristine:
-  // network_ stays null and step()/stepReference() never collect winners.
+  // network_ stays null and step() never collects winners.
   network_ = (interconnect_ != nullptr && !interconnect_->zeroCost())
                  ? interconnect_.get()
                  : nullptr;
@@ -181,17 +179,6 @@ void Machine::applyDueFaultEvents() {
   }
 }
 
-bool Machine::dropsGrant(std::uint64_t module) const {
-  const std::uint64_t threshold =
-      drop_threshold_[static_cast<std::size_t>(module)];
-  if (threshold == 0) return false;
-  // Pure function of (seed, cycle, module): identical for every thread
-  // count and reproducible across runs.
-  util::SplitMix64 g(plan_.seed ^ (module * 0xA24BAED4963EE407ULL) ^
-                     (lifetime_cycles_ * 0x9E3779B97F4A7C15ULL));
-  return g.next() < threshold;
-}
-
 void Machine::enableLoadTracking() {
   module_load_.assign(static_cast<std::size_t>(module_count_), 0);
 }
@@ -215,24 +202,10 @@ Cell& Machine::cellRef(std::uint64_t module, std::uint64_t slot) {
   return sparse_[static_cast<std::size_t>(module)].ref(slot);
 }
 
-// The seed's committed-cell access: flat array when eager, per-module
-// std::unordered_map (default-inserting operator[]) when sparse.
-Cell& Machine::cellRefReference(std::uint64_t module, std::uint64_t slot) {
-  if (eager_) {
-    return flat_[static_cast<std::size_t>(module * slots_per_module_ + slot)];
-  }
-  return sparse_ref_[static_cast<std::size_t>(module)][slot];
-}
-
 Cell Machine::peek(std::uint64_t module, std::uint64_t slot) const {
   checkAddress(module, slot);
   if (eager_) {
     return flat_[static_cast<std::size_t>(module * slots_per_module_ + slot)];
-  }
-  if (used_reference_) {
-    const auto& map = sparse_ref_[static_cast<std::size_t>(module)];
-    const auto it = map.find(slot);
-    return it == map.end() ? Cell{} : it->second;
   }
   const Cell* cell = sparse_[static_cast<std::size_t>(module)].find(slot);
   return cell == nullptr ? Cell{} : *cell;
@@ -240,20 +213,11 @@ Cell Machine::peek(std::uint64_t module, std::uint64_t slot) const {
 
 void Machine::poke(std::uint64_t module, std::uint64_t slot, Cell cell) {
   checkAddress(module, slot);
-  // Written to both storage generations so the machine may afterwards be
-  // driven by either step() or stepReference().
   cellRef(module, slot) = cell;
-  if (!eager_) {
-    sparse_ref_[static_cast<std::size_t>(module)][slot] = cell;
-  }
 }
 
 bool Machine::hasStagedEntry(std::uint64_t module, std::uint64_t slot) const {
   checkAddress(module, slot);
-  if (used_reference_) {
-    const auto& map = staged_ref_[static_cast<std::size_t>(module)];
-    return map.find(slot) != map.end();
-  }
   return staged_[static_cast<std::size_t>(module)].contains(slot);
 }
 
@@ -283,10 +247,6 @@ void Machine::step(const std::vector<Request>& requests,
   applyDueFaultEvents();
   responses.resize(requests.size());
   if (requests.empty()) return;
-  DSM_CHECK_MSG(!used_reference_,
-                "step() and stepReference() must not be mixed on one machine "
-                "(they stage into different tables)");
-  used_fast_ = true;
   const std::size_t n = requests.size();
 
   // Cycle-path choice (all three produce bit-identical responses/metrics):
@@ -308,7 +268,8 @@ void Machine::step(const std::vector<Request>& requests,
 
 // The cycle's drop-noise inputs, hoisted out of the access sweep: the
 // per-cycle salt is the same for every module, so each winner only mixes in
-// its module id (the resulting hash is exactly dropsGrant()'s).
+// its module id. A drop is a pure function of (seed, cycle, module):
+// identical for every thread count and reproducible across runs.
 struct Machine::DropContext {
   explicit DropContext(const Machine& m)
       : thresholds(m.has_drops_ ? m.drop_threshold_.data() : nullptr),
@@ -653,137 +614,6 @@ void Machine::stepSharded(const std::vector<Request>& requests,
   });
   metrics_.accessSeconds += access_timer.seconds();
   closeCycle(n, total);
-}
-
-void Machine::stepReference(const std::vector<Request>& requests,
-                            std::vector<Response>& responses) {
-  applyDueFaultEvents();
-  responses.assign(requests.size(), Response{});
-  if (requests.empty()) return;
-  DSM_CHECK_MSG(!used_fast_,
-                "step() and stepReference() must not be mixed on one machine "
-                "(they stage into different tables)");
-  used_reference_ = true;
-
-  for (const Request& r : requests) checkAddress(r.module, r.slot);
-
-  // Phase A: elect a winner per module (commutative atomic min, so the
-  // result is identical for any thread count) and count per-module load.
-  // Failed modules take no part in arbitration.
-  pool_.parallelFor(requests.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (failed_[static_cast<std::size_t>(requests[i].module)]) {
-        responses[i].moduleFailed = true;
-        continue;
-      }
-      atomicMin(arb_[static_cast<std::size_t>(requests[i].module)],
-                arbKey(requests[i].processor, i));
-      counts_[requests[i].module].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  // Phase B: winners perform their access. Distinct winners own distinct
-  // modules, so cell and staged-table mutation is race-free; sparse-table
-  // insertion is confined to the winning thread of that module.
-  std::atomic<std::uint64_t> granted{0};
-  std::atomic<std::uint64_t> dropped{0};
-  pool_.parallelFor(requests.size(), [&](std::size_t lo, std::size_t hi) {
-    std::uint64_t local_granted = 0;
-    std::uint64_t local_dropped = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Request& r = requests[i];
-      const std::size_t m = static_cast<std::size_t>(r.module);
-      if (responses[i].moduleFailed) continue;
-      if (arb_[m].load(std::memory_order_relaxed) != arbKey(r.processor, i)) {
-        continue;
-      }
-      // FaultPlan drop noise: the port is consumed but the grant is lost;
-      // the requester retries in a later cycle.
-      if (has_drops_ && dropsGrant(r.module)) {
-        ++local_dropped;
-        responses[i].dropped = true;
-        continue;
-      }
-      Cell& cell = cellRefReference(r.module, r.slot);
-      switch (r.op) {
-        case Op::kRead:
-          break;
-        case Op::kWrite:
-          // Stage only: committed state is untouched until kCommit.
-          staged_ref_[m][r.slot] = Cell{r.value, r.timestamp};
-          break;
-        case Op::kCommit: {
-          auto& map = staged_ref_[m];
-          const auto it = map.find(r.slot);
-          if (it != map.end() && it->second.timestamp == r.timestamp) {
-            cell = it->second;
-            map.erase(it);
-          }
-          break;
-        }
-        case Op::kAbort: {
-          auto& map = staged_ref_[m];
-          const auto it = map.find(r.slot);
-          if (it != map.end() && it->second.timestamp == r.timestamp) {
-            map.erase(it);
-          }
-          break;
-        }
-        case Op::kRepair:
-          // Monotone: a repair can only move a copy forward in time.
-          if (r.timestamp > cell.timestamp) {
-            cell = Cell{r.value, r.timestamp};
-          }
-          break;
-      }
-      // Winners own their module this cycle, so the counter bump is
-      // race-free across workers.
-      if (!module_load_.empty()) {
-        ++module_load_[m];
-      }
-      responses[i].granted = true;
-      responses[i].value = cell.value;
-      responses[i].timestamp = cell.timestamp;
-      ++local_granted;
-    }
-    granted.fetch_add(local_granted, std::memory_order_relaxed);
-    dropped.fetch_add(local_dropped, std::memory_order_relaxed);
-  });
-
-  // Phase C: read off the peak per-module contention of this cycle, then
-  // reset the arbitration and count slots we touched.
-  std::atomic<std::uint32_t> peak{0};
-  pool_.parallelFor(requests.size(), [&](std::size_t lo, std::size_t hi) {
-    std::uint32_t local_peak = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      local_peak = std::max(
-          local_peak,
-          counts_[requests[i].module].load(std::memory_order_relaxed));
-    }
-    std::uint32_t cur = peak.load(std::memory_order_relaxed);
-    while (local_peak > cur &&
-           !peak.compare_exchange_weak(cur, local_peak,
-                                       std::memory_order_relaxed)) {
-    }
-  });
-  pool_.parallelFor(requests.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      arb_[requests[i].module].store(kNoWinner, std::memory_order_relaxed);
-      counts_[requests[i].module].store(0, std::memory_order_relaxed);
-    }
-  });
-
-  metrics_.cycles += 1;
-  lifetime_cycles_ += 1;
-  metrics_.requestsIssued += requests.size();
-  metrics_.requestsGranted += granted.load(std::memory_order_relaxed);
-  metrics_.grantsDropped += dropped.load(std::memory_order_relaxed);
-  metrics_.maxModuleQueue = std::max<std::uint64_t>(
-      metrics_.maxModuleQueue, peak.load(std::memory_order_relaxed));
-
-  // The reference cycle prices a routed backend exactly like step() does,
-  // so the differential oracles stay bit-identical on every metric.
-  if (network_ != nullptr) routeCycleWinners(requests, responses);
 }
 
 }  // namespace dsm::mpc

@@ -31,8 +31,8 @@
 //     access run on one thread with no atomics. The per-module winner is a
 //     branch-free min-sweep over the bucket's keys (arb_sweep.hpp);
 //     DSM_FORCE_SCALAR keeps the compare-and-branch walk as its oracle.
-// stepReference() preserves the original five-sweep cycle as a
-// differential oracle and benchmark baseline.
+// The differential tests and E16 check all three against the seed's
+// five-sweep cycle, kept outside production code (DESIGN.md §6, §8).
 //
 // Fault model: modules fail and heal under a scripted FaultPlan (per-cycle
 // events applied at step boundaries, so faults can strike mid-phase of a
@@ -57,18 +57,16 @@
 // untouched, with no winner collection and no virtual dispatch. A routed
 // backend (ButterflyInterconnect) receives each cycle's post-arbitration
 // winner set AFTER the access sweep and folds the bounded-degree delivery
-// cost into the network* metrics. Every cycle path (step's three and
-// stepReference) leaves the winners in the response flags — a request holds
-// granted or dropped iff it won arbitration at a live module — so the
-// winner set is read straight off them, one pass in wire order. Routing
-// never changes responses or cell state — it prices the cycle, the paper's
-// "request routing problem".
+// cost into the network* metrics. Every cycle path leaves the winners in
+// the response flags — a request holds granted or dropped iff it won
+// arbitration at a live module — so the winner set is read straight off
+// them, one pass in wire order. Routing never changes responses or cell
+// state — it prices the cycle, the paper's "request routing problem".
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -119,6 +117,8 @@ struct Response {
   /// a spare copy instead of hammering the same noisy module. Deterministic
   /// (pure function of (seed, cycle, module)) like the drop itself.
   bool dropped = false;
+
+  bool operator==(const Response&) const = default;
 };
 
 /// Aggregate simulation metrics.
@@ -137,8 +137,8 @@ struct MachineMetrics {
   std::uint64_t networkMaxQueue = 0; ///< worst FIFO queue across all cycles
   std::uint64_t networkIdealCycles = 0;  ///< stretch denominator (d / cycle)
   double networkStretch = 0.0;  ///< networkCycles / networkIdealCycles
-  // Per-stage wall time of step() (stepReference is timed externally by the
-  // benchmarks). Wall-clock, so excluded from bit-identity comparisons.
+  // Per-stage wall time of step(). Wall-clock, so excluded from
+  // bit-identity comparisons.
   double arbSeconds = 0.0;     ///< fused validate + arbitrate + count sweep
   double accessSeconds = 0.0;  ///< fused access + peak + reset sweep
 };
@@ -216,18 +216,6 @@ class Machine {
   void step(const std::vector<Request>& requests,
             std::vector<Response>& responses);
 
-  /// The original five-sweep implementation of step() (serial validate,
-  /// arbitrate, access, peak-read, reset; pre-cleared responses), staging
-  /// into the seed's std::unordered_map tables — allocator traffic
-  /// included, so benchmarks compare against the true pre-PR cycle.
-  /// Identical observable semantics to step() — responses, metrics (minus
-  /// the per-stage timers, which only step() populates), fault handling —
-  /// kept as a differential oracle and as the benchmark baseline. Because
-  /// the two paths stage into different tables, step() and stepReference()
-  /// must not be mixed on one machine (checked).
-  void stepReference(const std::vector<Request>& requests,
-                     std::vector<Response>& responses);
-
   /// Direct cell access (setup/verification; does not consume cycles).
   /// peek observes committed state only — staged writes are invisible.
   Cell peek(std::uint64_t module, std::uint64_t slot) const;
@@ -278,8 +266,7 @@ class Machine {
   /// backend (e.g. ButterflyInterconnect) must cover moduleCount() and is
   /// handed each cycle's post-arbitration winner set after the access
   /// sweep, folding its cost into the network* metrics. Responses and cell
-  /// state are never affected. Applies to step() and stepReference() alike,
-  /// so differential oracles price traffic identically.
+  /// state are never affected.
   void setInterconnect(std::unique_ptr<Interconnect> backend);
   /// The installed backend, or nullptr when the default crossbar is active.
   const Interconnect* interconnect() const noexcept {
@@ -305,13 +292,13 @@ class Machine {
   ThreadPool& pool() noexcept { return pool_; }
 
  private:
+  friend class ReferenceCycle;  // test/bench oracle, oracle/reference_cycle.hpp
+
   static constexpr std::uint64_t kEagerLimit = 1ULL << 24;
 
   Cell& cellRef(std::uint64_t module, std::uint64_t slot);
-  Cell& cellRefReference(std::uint64_t module, std::uint64_t slot);
   void checkAddress(std::uint64_t module, std::uint64_t slot) const;
   void applyDueFaultEvents();
-  bool dropsGrant(std::uint64_t module) const;
   void resetTouchedScratch(const std::vector<Request>& requests);
   struct DropContext;  // this cycle's drop-noise inputs (machine.cpp)
   struct CycleTally;   // one participant's grant/drop/peak counts
@@ -358,15 +345,6 @@ class Machine {
   // Open-addressed with backward-shift erase: the stage/commit/abort churn
   // never allocates once the table is warm.
   std::vector<StagedTable> staged_;
-  // Pre-PR (seed) storage, used only by stepReference(): the seed staged
-  // writes and sparse committed cells in per-module std::unordered_map
-  // tables, and that allocator traffic is part of what the benchmarks
-  // measure. Dense committed cells live in flat_ for both paths. peek /
-  // hasStagedEntry read whichever side the machine has been stepped with.
-  std::vector<std::unordered_map<std::uint64_t, Cell>> staged_ref_;
-  std::vector<std::unordered_map<std::uint64_t, Cell>> sparse_ref_;
-  bool used_fast_ = false;       // step() has run
-  bool used_reference_ = false;  // stepReference() has run
   // Per-module arbitration scratch: current best (lowest) processor id + the
   // index of its request; reset lazily via the touched list. Used by the
   // serial and atomic cycle paths only — the sharded path arbitrates inside

@@ -199,7 +199,7 @@ void EngineBase::prepare(const std::vector<AccessRequest>& batch,
   const std::size_t r = scheme_.copiesPerVariable();
   probe(prep.plan.order.capacity(), b * r);
   probe(prep.plan.count.capacity(), b);
-  if (planner_enabled_ && plannerSupported()) {
+  if (planner_enabled_) {
     planBatch(batch, prep);
   } else {
     prep.plan.identity(b, r);
@@ -440,8 +440,7 @@ std::vector<AccessResult> EngineBase::executeStream(
   results.reserve(batches.size());
   // Pipelining pays only when the wire rounds themselves run multi-threaded
   // (a 1-thread machine stays strictly serial, including its prepares).
-  const bool pipelined = batches.size() > 1 && machine_.pool().threads() > 1 &&
-                         streamPipelineEnabled();
+  const bool pipelined = batches.size() > 1 && machine_.pool().threads() > 1;
   if (pipelined && prefetcher_ == nullptr) {
     prefetcher_ = std::make_unique<Prefetcher>(*this);
   }

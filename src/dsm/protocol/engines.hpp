@@ -80,8 +80,8 @@
 // (every request opens all r ranks in copy order; no spares, so no
 // escalation ever fires), and the one round driver runs it exactly like a
 // built plan. The wire it produces is byte-identical to the pre-planner
-// engine's, and the reference engines — which know no plans — stay the
-// differential oracle.
+// engine's, and the test/bench-only reference engines (DESIGN.md §6), which
+// know no plans, stay the differential oracle.
 //
 // One round driver (runBatch) serves both engines through a static policy:
 // MajorityEngine runs r cluster phases firing every open untried rank,
@@ -100,8 +100,8 @@
 // Compaction preserves the request order and per-request
 // copy order of the from-scratch build, so the wire contents are
 // bit-identical to the pre-overhaul engine's and every downstream result is
-// unchanged. reference_engine.hpp keeps the from-scratch loops as the
-// differential oracle / benchmark baseline.
+// unchanged. The from-scratch loops survive outside production code as the
+// differential oracle and benchmark baseline (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -122,6 +122,8 @@ struct AccessRequest {
   std::uint64_t variable = 0;
   mpc::Op op = mpc::Op::kRead;
   std::uint64_t value = 0;  ///< payload for writes
+
+  bool operator==(const AccessRequest&) const = default;
 };
 
 /// Outcome and cost accounting of one executed batch.
@@ -159,6 +161,8 @@ struct AccessResult {
   std::vector<std::size_t> unsatisfiable;
 
   std::uint64_t maxPhaseIterations() const;
+
+  bool operator==(const AccessResult&) const = default;
 };
 
 /// Fault-path counters layered onto EngineMetrics. All counts are exact and
@@ -186,6 +190,8 @@ struct FaultMetrics {
   /// unreachable (d == 0 is the healthy fast path). Size r+1 once any batch
   /// has run.
   std::vector<std::uint64_t> degradedQuorum;
+
+  bool operator==(const FaultMetrics&) const = default;
 };
 
 /// Cumulative engine-side performance counters (across execute() calls;
@@ -309,8 +315,7 @@ class EngineBase {
   /// engine. The flag is sampled once per prepare and travels with the
   /// prepared batch, so toggling mid-executeStream is safe but takes effect
   /// at an unspecified batch boundary; toggle between streams for
-  /// deterministic comparisons. Reference engines must stay planner-off
-  /// (they are the differential oracle).
+  /// deterministic comparisons.
   void setPlannerEnabled(bool on) noexcept { planner_enabled_ = on; }
   bool plannerEnabled() const noexcept { return planner_enabled_; }
 
@@ -378,17 +383,6 @@ class EngineBase {
   /// and executeStream() dispatch through here.
   AccessResult runPrepared(const std::vector<AccessRequest>& batch,
                            const PreparedBatch& prep);
-
-  /// Whether executeStream may overlap prepare with wire rounds. The
-  /// reference engines return false: they are the pre-overhaul baseline and
-  /// must keep its strictly serial batch loop.
-  virtual bool streamPipelineEnabled() const { return true; }
-
-  /// Whether this engine's wire loops understand quorum plans. The
-  /// reference engines return false: they are the planner-off oracle, and
-  /// setPlannerEnabled(true) on them must stay a no-op instead of feeding
-  /// plan-unaware loops planner bookkeeping.
-  virtual bool plannerSupported() const { return true; }
 
   /// Validates batch (range, distinct variables, 32-bit processor-id head
   /// room), resolves copies through the cache (misses in parallel on

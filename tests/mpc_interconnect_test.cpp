@@ -8,8 +8,8 @@
 //     cost is identical at every thread count;
 //   * install-time validation and resetMetrics interplay;
 //   * on every cycle path (serial fused, module-sharded, atomic-min and
-//     stepReference) the winner set handed to the backend is exactly the
-//     lowest processor id per live module, in wire order.
+//     the reference cycle) the winner set handed to the backend is exactly
+//     the lowest processor id per live module, in wire order.
 #include "dsm/mpc/interconnect.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "dsm/mpc/machine.hpp"
 #include "dsm/util/assert.hpp"
 #include "dsm/util/rng.hpp"
+#include "oracle/reference_cycle.hpp"
 
 namespace dsm::mpc {
 namespace {
@@ -40,19 +41,6 @@ std::vector<Request> contendedWire(std::uint64_t modules, std::uint64_t slots,
   return wire;
 }
 
-bool sameResponses(const std::vector<Response>& a,
-                   const std::vector<Response>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].granted != b[i].granted ||
-        a[i].moduleFailed != b[i].moduleFailed || a[i].value != b[i].value ||
-        a[i].timestamp != b[i].timestamp) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(Interconnect, CrossbarIsZeroCostAndLeavesStepIdentical) {
   Machine plain(16, 32, 1);
   Machine xbar(16, 32, 1);
@@ -67,7 +55,7 @@ TEST(Interconnect, CrossbarIsZeroCostAndLeavesStepIdentical) {
     const auto wire = contendedWire(16, 32, 3, cyc);
     plain.step(wire, ra);
     xbar.step(wire, rb);
-    EXPECT_TRUE(sameResponses(ra, rb)) << "cycle " << cyc;
+    EXPECT_TRUE(ra == rb) << "cycle " << cyc;
   }
   const auto& pm = plain.metrics();
   const auto& xm = xbar.metrics();
@@ -236,6 +224,7 @@ TEST(Interconnect, StepReferencePricesTheSameTraffic) {
   // machine with the same backend reports identical network figures.
   Machine fast(16, 32, 1);
   Machine ref(16, 32, 1);
+  ReferenceCycle oracle(ref);
   fast.setInterconnect(std::make_unique<ButterflyInterconnect>(16));
   ref.setInterconnect(std::make_unique<ButterflyInterconnect>(16));
   std::vector<Response> ra;
@@ -243,8 +232,8 @@ TEST(Interconnect, StepReferencePricesTheSameTraffic) {
   for (std::uint64_t cyc = 0; cyc < 15; ++cyc) {
     const auto wire = contendedWire(16, 32, 3, cyc);
     fast.step(wire, ra);
-    ref.stepReference(wire, rb);
-    EXPECT_TRUE(sameResponses(ra, rb)) << "cycle " << cyc;
+    oracle.step(wire, rb);
+    EXPECT_TRUE(ra == rb) << "cycle " << cyc;
   }
   EXPECT_GT(fast.metrics().networkCycles, 0u);
   EXPECT_EQ(fast.metrics().networkCycles, ref.metrics().networkCycles);
@@ -328,12 +317,13 @@ TEST(Interconnect, WinnerSetIsLowestProcessorPerLiveModuleOnEveryPath) {
       {"serial-fused", 64, 64, 1, false},
       {"sharded", 64, 64, 4, false},         // modules < wire
       {"atomic-min", 4096, 512, 4, false},   // modules >= wire
-      {"stepReference", 64, 64, 4, true},
+      {"reference-cycle", 64, 64, 4, true},
   };
   for (const Path& path : paths) {
     SCOPED_TRACE(path.name);
     std::vector<std::vector<GrantLink>> log;
     Machine m(path.modules, 16, path.threads);
+    ReferenceCycle oracle(m);
     m.setInterconnect(std::make_unique<RecordingInterconnect>(log));
     FaultPlan plan;
     plan.grantDropProbability = 0.2;
@@ -352,7 +342,7 @@ TEST(Interconnect, WinnerSetIsLowestProcessorPerLiveModuleOnEveryPath) {
                     rng.below(path.targeted), rng.below(16),
                     kOps[rng.below(5)], rng(), cyc + 1};
       }
-      path.reference ? m.stepReference(wire, resp) : m.step(wire, resp);
+      path.reference ? oracle.step(wire, resp) : m.step(wire, resp);
       ASSERT_EQ(log.size(), cyc + 1);
       // Fault events apply before a step, so isFailed now is this cycle's.
       const std::vector<GrantLink> want = replayWinners(m, wire);

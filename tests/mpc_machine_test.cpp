@@ -11,6 +11,7 @@
 #include "dsm/util/assert.hpp"
 #include "dsm/util/kernel_dispatch.hpp"
 #include "dsm/util/rng.hpp"
+#include "oracle/reference_cycle.hpp"
 
 namespace dsm::mpc {
 namespace {
@@ -118,13 +119,7 @@ TEST(Machine, ArbitrationDeterministicAcrossThreadCounts) {
   const auto [r1, c1, m1] = run(1);
   for (unsigned t : {2u, 4u, 8u}) {
     const auto [rt, ct, mt] = run(t);
-    ASSERT_EQ(rt.size(), r1.size());
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      for (std::size_t j = 0; j < r1[i].size(); ++j) {
-        EXPECT_EQ(rt[i][j].granted, r1[i][j].granted) << i << "," << j;
-        EXPECT_EQ(rt[i][j].value, r1[i][j].value);
-      }
-    }
+    EXPECT_TRUE(rt == r1) << t << " threads";
     for (std::size_t i = 0; i < c1.size(); ++i) {
       EXPECT_EQ(ct[i].value, c1[i].value);
       EXPECT_EQ(ct[i].timestamp, c1[i].timestamp);
@@ -200,7 +195,7 @@ TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
 
 // Table-driven differential oracle: every step() cycle path — serial
 // fused, atomic-min, module-sharded, and sharded on the forced-scalar
-// arbitration walk — against the five-pass stepReference(), on dense and
+// arbitration walk — against the five-pass ReferenceCycle, on dense and
 // sparse storage, healthy and under a fail/heal script with grant drops.
 // Random all-op streams; every Response field, cell, staged entry,
 // deterministic metric, the lifetime clock and the per-module load must be
@@ -242,6 +237,7 @@ void expectRowMatchesReference(const CyclePathRow& row) {
       util::Xoshiro256 rng(faulty ? 0xFACADE : 0xDECADE);
       Machine fast(row.modules, sparse ? 0 : kSlots, row.threads);
       Machine ref(row.modules, sparse ? 0 : kSlots, row.threads);
+      ReferenceCycle oracle(ref);
       fast.enableLoadTracking();
       ref.enableLoadTracking();
       if (faulty) {
@@ -283,7 +279,7 @@ void expectRowMatchesReference(const CyclePathRow& row) {
         if (row.force_scalar) util::setForceScalarForTesting(true);
         fast.step(reqs, fast_resp);
         util::clearForceScalarOverride();
-        ref.stepReference(reqs, ref_resp);
+        oracle.step(reqs, ref_resp);
         ASSERT_EQ(fast_resp.size(), ref_resp.size());
         for (std::size_t i = 0; i < n; ++i) {
           const Response& got = fast_resp[i];
@@ -298,9 +294,9 @@ void expectRowMatchesReference(const CyclePathRow& row) {
       }
       for (std::uint64_t mod = 0; mod < row.targeted; ++mod) {
         for (std::uint64_t s = 0; s < kSlots; ++s) {
-          EXPECT_EQ(fast.peek(mod, s).value, ref.peek(mod, s).value);
-          EXPECT_EQ(fast.peek(mod, s).timestamp, ref.peek(mod, s).timestamp);
-          EXPECT_EQ(fast.hasStagedEntry(mod, s), ref.hasStagedEntry(mod, s));
+          EXPECT_EQ(fast.peek(mod, s).value, oracle.peek(mod, s).value);
+          EXPECT_EQ(fast.peek(mod, s).timestamp, oracle.peek(mod, s).timestamp);
+          EXPECT_EQ(fast.hasStagedEntry(mod, s), oracle.hasStagedEntry(mod, s));
         }
       }
       const MachineMetrics& got = fast.metrics();
@@ -352,6 +348,23 @@ TEST(Machine, ShardedStepMatchesReferenceOnSaturatedStreams) {
 // rows, so the two are bit-identical to each other.
 TEST(Machine, ShardedStepIdenticalUnderForceScalar) {
   expectPathMatchesReference(CyclePath::kSharded, true);
+}
+
+// The oracle keeps its own staged and sparse tables, so it refuses a
+// machine whose lifetime clock it did not advance itself.
+TEST(Machine, ReferenceCycleRefusesAMachineStepAdvanced) {
+  Machine m(4, 0);
+  ReferenceCycle ref(m);
+  ref.poke(1, 7, Cell{5, 1});
+  const std::vector<Request> read{{0, 1, 7, Op::kRead, 0, 0}};
+  std::vector<Response> resp;
+  ref.step(read, resp);
+  EXPECT_EQ(resp[0].value, 5u);
+  m.step(read, resp);
+  EXPECT_EQ(resp[0].value, 0u);  // the machine's own table never saw it
+  EXPECT_THROW(ref.step(read, resp), util::CheckError);
+  EXPECT_THROW(ref.peek(1, 7), util::CheckError);
+  EXPECT_THROW(ReferenceCycle(m).step(read, resp), util::CheckError);
 }
 
 TEST(Machine, StepUsableAfterAddressThrow) {

@@ -1,16 +1,16 @@
 // Hot-path equivalence: the persistent-wire engines (incremental wire
 // compaction + fused two-sweep Machine::step) must be bit-identical to the
-// reference engines (from-scratch wire build + five-pass stepReference) on
+// reference engines (from-scratch wire build + five-pass reference cycle) on
 // multi-batch streams — values, iteration counts, live trajectories and
 // fault counters — fault-free and under a FaultPlan, at 1 and many threads.
 #include <gtest/gtest.h>
 
 #include "dsm/protocol/engines.hpp"
-#include "dsm/protocol/reference_engine.hpp"
 #include "dsm/scheme/baselines.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "oracle/reference_engine.hpp"
 #include "result_compare.hpp"
 
 namespace dsm::protocol {

@@ -16,10 +16,10 @@
 #include "dsm/mpc/interconnect.hpp"
 #include "dsm/mpc/machine.hpp"
 #include "dsm/protocol/engines.hpp"
-#include "dsm/protocol/reference_engine.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "oracle/reference_engine.hpp"
 #include "result_compare.hpp"
 
 namespace dsm::protocol {
@@ -155,8 +155,8 @@ TEST_F(InterconnectProtocolTest, ButterflyNetworkCostThreadIdentity) {
 }
 
 TEST_F(InterconnectProtocolTest, ReferenceEnginePricesIdentically) {
-  // The pre-overhaul engine issues the same wire traffic through
-  // stepReference, which routes through the same epilogue — so even the
+  // The pre-overhaul engine issues the same wire traffic through the
+  // reference cycle, which routes through the same epilogue — so even the
   // network cost of every batch must agree with the overhauled engine.
   for (const bool faults : {false, true}) {
     const StreamRun fast = runStream<MajorityEngine>(s_, stream_, 1, faults,

@@ -12,8 +12,10 @@
 
 #include "dsm/protocol/engines.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
+#include "dsm/util/assert.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "oracle/reference_engine.hpp"
 #include "result_compare.hpp"
 
 namespace dsm::protocol {
@@ -337,6 +339,24 @@ TEST(Planner, OffByDefault) {
   EXPECT_EQ(eng.metrics().plannedWireSavings, 0u);
   EXPECT_EQ(eng.metrics().escalations, 0u);
   EXPECT_EQ(eng.metrics().maxPlannedModuleLoad, 0u);
+}
+
+// The reference engines know no plans: with the planner on they refuse the
+// first batch before it reaches the machine, instead of silently running
+// the planner-off attack.
+template <typename Engine>
+void expectRefusesPlannerOn() {
+  const auto& s = testScheme();
+  mpc::Machine m(s.numModules(), s.slotsPerModule());
+  Engine eng(s, m);
+  eng.setPlannerEnabled(true);
+  EXPECT_THROW(eng.execute({{1, mpc::Op::kWrite, 10}}), util::CheckError);
+  EXPECT_EQ(m.lifetimeCycles(), 0u);
+}
+
+TEST(Planner, ReferenceEnginesRefusePlannerOn) {
+  expectRefusesPlannerOn<ReferenceMajorityEngine>();
+  expectRefusesPlannerOn<ReferenceSingleOwnerEngine>();
 }
 
 }  // namespace

@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "dsm/protocol/engines.hpp"
-#include "dsm/protocol/reference_engine.hpp"
 #include "dsm/scheme/pp_scheme.hpp"
 #include "dsm/util/assert.hpp"
 #include "dsm/util/rng.hpp"
 #include "dsm/workload/generators.hpp"
+#include "oracle/reference_engine.hpp"
 #include "result_compare.hpp"
 
 namespace dsm::protocol {
