@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dsm/mpc/machine.hpp"
+#include "dsm/mpc/thread_pool.hpp"
 #include "dsm/protocol/engines.hpp"
 #include "dsm/serve/serve.hpp"
 #include "dsm/util/cli.hpp"
@@ -148,6 +149,19 @@ inline void banner(const std::string& id, const std::string& title) {
 
 inline void footnote(const std::string& text) {
   std::cout << "  note: " << text << "\n";
+}
+
+/// Returns run() with every ThreadPool built inside it at the fixed
+/// fork-grain floor (ThreadPool::kMinItemsPerWorker), then restores the
+/// calibrated grain. Timed rows run at the calibrated grain, which keeps
+/// bench-sized wires inline on a host whose fork overhead outweighs them;
+/// an untimed identity run at the floor forks them on any host.
+template <typename F>
+auto atFloorForkGrain(F&& run) {
+  mpc::ThreadPool::setForkGrainForTesting(mpc::ThreadPool::kMinItemsPerWorker);
+  auto out = run();
+  mpc::ThreadPool::setForkGrainForTesting(0);
+  return out;
 }
 
 /// One-line summary of an engine's pipeline counters (E14 and any bench

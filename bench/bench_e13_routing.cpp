@@ -15,8 +15,11 @@
 //     bit-identical between the two backends, and the crossbar's
 //     networkCycles is exactly zero;
 //   * thread determinism — networkCycles, stretch, and max queue are
-//     bit-identical at 1 thread and a forked pool (winner sets are
-//     re-derived in wire order, so routing never sees scheduling).
+//     bit-identical at 1 thread and a multi-thread pool (winner sets are
+//     re-derived in wire order, so routing never sees scheduling). At
+//     these batch sizes a round's wire is below two fork grains, so the
+//     pool's loops run inline; mpc_interconnect_test pins the grain and
+//     covers forked routing.
 //
 // A full run writes BENCH_e13.json; ctest runs `--smoke` under the `perf`
 // label. Raw-butterfly reference patterns (random permutation, hot spot)

@@ -323,6 +323,31 @@ int main(int argc, char** argv) {
   stream_table.print(std::cout);
   json.set("stream", std::move(stream_rows));
 
+  // Untimed forked identity at the fixed fork-grain floor: the timed rows
+  // run at the pool's calibrated grain, which keeps these wires inline on
+  // a host whose fork overhead outweighs them. At the floor a full
+  // run's step wire and stream rounds fork; the smoke's stay inline even
+  // there, so it skips this.
+  bool forked_identical = true;
+  if (!smoke) {
+    const unsigned fork_threads =
+        static_cast<unsigned>(std::max<std::uint64_t>(
+            2, *std::max_element(thread_counts.begin(), thread_counts.end())));
+    for (const bool faults : {false, true}) {
+      forked_identical = forked_identical && bench::atFloorForkGrain([&] {
+        return runStepBench(modules, slots, per_module, cycles, fork_threads,
+                            faults, 1)
+                   .identical &&
+               runStreamBench(s, stream, fork_threads, faults).identical;
+      });
+    }
+    all_identical = all_identical && forked_identical;
+    std::cout << "  " << fork_threads << "-thread pool at the "
+              << mpc::ThreadPool::kMinItemsPerWorker
+              << "-item grain floor (untimed) identical to reference: "
+              << (forked_identical ? "yes" : "NO") << "\n";
+  }
+
   const bool speed_gate = smoke || worst_step_speedup >= 2.0;
   std::cout << "  worst step speedup: "
             << util::TextTable::num(worst_step_speedup, 2) << "x ("
@@ -347,6 +372,7 @@ int main(int argc, char** argv) {
       .set("stream_speedup_best", best_stream_speedup)
       .set("stream_scaling_rows", stream_scaling_rows)
       .set("stream_scaling_pass", stream_scaling_pass)
+      .set("forked_identical", forked_identical)
       .set("all_identical", all_identical);
   if (stream_scaling_rows > 0) {
     gates.set("stream_scaling_worst", worst_stream_scaling);

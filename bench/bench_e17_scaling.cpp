@@ -1,16 +1,21 @@
 // E17 — thread scaling on the saturated-wire stream: MajorityEngine
-// executeStream over a PpScheme(1, 5) hot pool (1023 modules against a
-// ~6000-entry wire), swept across thread counts. This is the configuration
-// the module-sharded step and the batch-overlap pipeline were built for:
-// every module's arbitration/access/staging runs on exactly one thread, and
-// batch k+1's addressing overlaps batch k's wire rounds.
+// executeStream over a PpScheme(1, 5) hot pool (1023 modules; each batch
+// offers batch x 3 copy accesses, and a protocol round's wire carries one
+// phase of them: 513 entries in --smoke, 2049 in a full run), swept across
+// thread counts. The timed rows run at the pool's calibrated fork grain,
+// which keeps wires this size inline on a host whose fork overhead
+// outweighs them, so their gain is the batch-overlap pipeline's: batch
+// k+1's addressing overlaps batch k's wire rounds.
 //
 // Every row's outputs must be bit-identical to the serial (threads=1) run,
 // fault-free and under a drop plan — that identity is a hard gate at every
-// thread count, including oversubscribed ones. The throughput gate only
-// applies to rows that the host can actually run in parallel
-// (1 < threads <= host CPUs): a full run requires those rows strictly
-// faster than serial, --smoke requires >= 0.95x (noise floor for
+// thread count, including oversubscribed ones. One more untimed 2-thread
+// run at the fixed fork-grain floor forks the rounds' sweeps (on the full
+// run's wire, the module-sharded step: every module's arbitration/access/
+// staging on exactly one thread) and is held to the same gate. The
+// throughput gate only applies to rows that the host can actually run in
+// parallel (1 < threads <= host CPUs): a full run requires those rows
+// strictly faster than serial, --smoke requires >= 0.95x (noise floor for
 // seconds-scale runs). Single-CPU hosts get the identity gates only.
 //
 // A full run writes BENCH_e17.json; ctest runs --smoke under `perf`.
@@ -108,7 +113,8 @@ int main(int argc, char** argv) {
   const std::uint64_t reps = cli.getUint("reps", smoke ? 1 : 3);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   // Sweep 1, 2 and the full host width; 2 stays in the list even on a
-  // single-CPU host so the determinism gate always covers a forked pool.
+  // single-CPU host so the determinism gate always covers a multi-thread
+  // pool (the floor-grain run below covers a forked one).
   std::vector<std::uint64_t> default_threads{1, 2};
   if (hw > 2) default_threads.push_back(hw);
   const auto thread_counts = cli.getUintList("threads", default_threads);
@@ -119,10 +125,10 @@ int main(int argc, char** argv) {
 
   const scheme::PpScheme s(1, n);
   DSM_CHECK_MSG(s.numModules() < batch_size * s.copiesPerVariable(),
-                "wire must saturate the modules for the sharded step to "
-                "engage: " << s.numModules() << " modules vs "
-                           << batch_size * s.copiesPerVariable()
-                           << " wire entries");
+                "a batch's copy accesses must outnumber the modules "
+                "(saturated stream): " << s.numModules() << " modules vs "
+                                       << batch_size * s.copiesPerVariable()
+                                       << " copy accesses");
   bench::banner("E17", "thread scaling, saturated stream (n=" +
                            std::to_string(n) + ": " +
                            std::to_string(s.numModules()) + " modules, " +
@@ -150,6 +156,8 @@ int main(int argc, char** argv) {
   const std::size_t total_requests = batches * batch_size;
   const double floor = smoke ? 0.95 : 1.0;
   bool all_identical = true;
+  bool forked_identical = true;  // the floor-grain 2-thread runs
+  std::vector<protocol::AccessResult> serial_results[2];  // by faults
   bool scaling_pass = true;
   std::uint64_t gated_rows = 0;
   double worst_gated_speedup = 1e18;
@@ -198,7 +206,17 @@ int main(int argc, char** argv) {
           .set("scan_ms", r.metrics.scanSeconds * 1e3);
       rows.push(std::move(row));
     }
+    serial_results[faults] = serial.results;
   }
+  // Untimed forked-pool identity at the fixed fork-grain floor, run after
+  // every timed row so it cannot warm or cool any of them.
+  for (const bool faults : {false, true}) {
+    const Run forked = bench::atFloorForkGrain(
+        [&] { return runAt(s, stream, 2, faults, 1); });
+    forked_identical = forked_identical && forked.reps_agree &&
+                       forked.results == serial_results[faults];
+  }
+  all_identical = all_identical && forked_identical;
   table.print(std::cout);
   json.set("rows", std::move(rows));
 
@@ -211,10 +229,14 @@ int main(int argc, char** argv) {
               << (smoke ? ">= 0.95x smoke floor" : "> 1x full-run gate")
               << " -> " << (scaling_pass ? "PASS" : "FAIL") << "\n";
   }
+  std::cout << "  forked pool at the " << mpc::ThreadPool::kMinItemsPerWorker
+            << "-item grain floor (2 threads, untimed) identical to serial: "
+            << (forked_identical ? "yes" : "NO") << "\n";
   std::cout << "  outputs bit-identical to serial everywhere: "
             << (all_identical ? "yes" : "NO") << "\n";
   bench::Json gates = bench::Json::obj();
   gates.set("all_identical", all_identical)
+      .set("forked_identical", forked_identical)
       .set("scaling_rows_gated", gated_rows)
       .set("scaling_gate_pass", scaling_pass);
   if (gated_rows > 0) gates.set("worst_gated_speedup", worst_gated_speedup);
@@ -222,10 +244,12 @@ int main(int argc, char** argv) {
 
   if (!smoke) bench::writeJson(json_path, json);
   bench::footnote(
-      "the sharded step partitions each round's wire into per-module "
-      "buckets (stable counting sort) and gives every worker whole "
-      "modules, so arbitration and access run without atomics; the stream "
-      "pipeline overlaps batch k+1's addressing with batch k's wire "
-      "rounds. Identity to serial is a hard gate at every thread count.");
+      "the stream pipeline overlaps batch k+1's addressing with batch k's "
+      "wire rounds; a round's sweeps fork only when its wire repays the "
+      "pool's calibrated fork overhead. Once forked, the sharded step "
+      "partitions the wire into per-module buckets (stable counting sort) "
+      "and gives every worker whole modules, so arbitration and access run "
+      "without atomics. Identity to serial is a hard gate at every thread "
+      "count and at the grain floor.");
   return (all_identical && scaling_pass) ? 0 : 1;
 }
