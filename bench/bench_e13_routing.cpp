@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
 
   // Raw-network reference patterns, for scale against the protocol rows.
   util::Xoshiro256 rng(seed);
-  const net::Butterfly bf(shape.dimension());
+  net::Butterfly bf(shape.dimension());
   util::TextTable ref_table(
       {"reference pattern", "packets", "net cycles", "stretch", "max queue"});
   bench::Json ref_rows = bench::Json::arr();

@@ -48,7 +48,6 @@
 // dedicated layout — shared ports serialize their modules' winners).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -93,7 +92,9 @@ class Interconnect {
   /// Plan hand-off (Machine::announcePlan, once per protocol batch): the
   /// upcoming batch's wire summary. Purely advisory — backends may pre-size
   /// delivery scratch from it, but routing cost must stay a pure function of
-  /// the winner sets actually routed. Default: ignore.
+  /// the winner sets actually routed. Default: ignore. No shipped backend
+  /// overrides it (the butterfly's scratch persists across cycles); the
+  /// perfbench tracing decorator still forwards it.
   virtual void onPlan(const WirePlan& plan) { (void)plan; }
 };
 
@@ -151,18 +152,10 @@ class ButterflyInterconnect final : public Interconnect {
   }
   net::RoutingStats routeWinners(
       const std::vector<GrantLink>& winners) override;
-  /// Pre-sizes the packet scratch for the planned wire: a cycle routes at
-  /// most one winner per module, so min(plannedRequests, moduleCount) bounds
-  /// the packets any planned cycle can inject. Advisory only — the reserve
-  /// never changes routing cost.
-  void onPlan(const WirePlan& plan) override {
-    packets_.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(plan.plannedRequests, module_count_)));
-  }
 
  private:
   std::uint64_t module_count_;
-  net::Butterfly bf_;
+  net::Butterfly bf_;                 // owns the router's reused scratch
   std::vector<net::Packet> packets_;  // per-cycle scratch, reused
 };
 

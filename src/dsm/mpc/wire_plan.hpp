@@ -6,8 +6,9 @@
 // cycle. This tiny POD is the hand-off: the engine derives it from the
 // current batch's BatchPlan and announces it once before the batch's wire
 // rounds (Machine::announcePlan), which forwards it to a routed backend's
-// Interconnect::onPlan so it can pre-size its packet scratch from the
-// planned wire volume. Advisory only: the machine keeps no plan state, and
+// Interconnect::onPlan, where a backend could pre-size delivery scratch
+// from the planned wire volume (none does: the butterfly's scratch persists
+// across cycles). Advisory only: the machine keeps no plan state, and
 // responses, cell state and every network metric are independent of it.
 #pragma once
 

@@ -36,6 +36,19 @@ struct RoutingStats {
 };
 
 /// Synchronous store-and-forward butterfly router.
+///
+/// Each node keeps one FIFO per output link, threaded through a per-packet
+/// successor array; a cycle forwards the front of each non-empty link FIFO.
+/// That is the same rule as "forward the head packet, plus the first later
+/// packet that wants the other link" on one FIFO per node. A node receives
+/// at most two packets per cycle (one per parent), applied in packet-index
+/// order after every node has forwarded.
+///
+/// Routing state lives in scratch the instance owns and reuses: the node
+/// table is built on the first non-empty route and the per-packet successor
+/// array grows only when a larger batch arrives, so a steady stream of cycles
+/// allocates nothing. Every route leaves the scratch empty. One instance is
+/// therefore not safe to route from two threads at once.
 class Butterfly {
  public:
   /// 2^log_n rows; log_n >= 1.
@@ -46,10 +59,42 @@ class Butterfly {
 
   /// Routes the batch from scratch (the network starts empty) and returns
   /// the cost. Deterministic: FIFO queues, tie-break by packet index.
-  RoutingStats route(const std::vector<Packet>& packets) const;
+  /// Endpoints are checked before any scratch is touched.
+  RoutingStats route(const std::vector<Packet>& packets);
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  // Packets queued on one output link, oldest first; empty iff head == kNil.
+  struct LinkFifo {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  // Node (column c < d, row r) lives at nodes_[c * rows + r]; the output
+  // column d only counts deliveries and has no queues.
+  struct Node {
+    LinkFifo link[2];              // [0]: bit cleared, [1]: bit set
+    std::uint32_t size = 0;        // packets queued on both links
+    std::uint32_t arrival = kNil;  // this cycle's slot in arrivals_, if any
+  };
+  // Up to two packets reaching `node` in one cycle; `second` may be kNil.
+  struct Arrival {
+    std::uint32_t node;
+    std::uint32_t first;
+    std::uint32_t second;
+  };
+
+  // Appends packet `id` to its link FIFO at `node` and queues the node for
+  // the next cycle if it was idle.
+  void enqueue(std::uint32_t node, std::uint32_t id,
+               const std::vector<Packet>& packets, RoutingStats& stats);
+
   int d_;
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> next_;         // per packet: link successor
+  std::vector<std::uint32_t> active_;       // nodes forwarding this cycle
+  std::vector<std::uint32_t> next_active_;  // nodes queued for the next
+  std::vector<Arrival> arrivals_;           // this cycle's staged arrivals
 };
 
 }  // namespace dsm::net
