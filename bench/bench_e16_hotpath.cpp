@@ -327,8 +327,8 @@ int main(int argc, char** argv) {
   // Untimed forked identity at the fixed fork-grain floor: the timed rows
   // run at the pool's calibrated grain, which keeps these wires inline on
   // a host whose fork overhead outweighs them. At the floor a full
-  // run's step wire and stream rounds fork; the smoke's stay inline even
-  // there, so it skips this.
+  // run's reference cycle and stream rounds fork (Machine::step itself
+  // never forks); the smoke's stay inline even there, so it skips this.
   bool forked_identical = true;
   if (!smoke) {
     const unsigned fork_threads =
@@ -382,7 +382,7 @@ int main(int argc, char** argv) {
 
   if (!smoke) bench::writeJson(json_path, json);
   bench::footnote(
-      "the fused cycle does two parallel sweeps instead of five and never "
+      "the fused cycle does two serial sweeps instead of five and never "
       "pre-clears responses; the flat staged tables drop the per-entry "
       "allocations; the persistent wire retires requests incrementally "
       "instead of rebuilding the wire every iteration. --smoke checks the "

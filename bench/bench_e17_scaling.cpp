@@ -10,9 +10,9 @@
 // Every row's outputs must be bit-identical to the serial (threads=1) run,
 // fault-free and under a drop plan — that identity is a hard gate at every
 // thread count, including oversubscribed ones. One more untimed 2-thread
-// run at the fixed fork-grain floor forks the rounds' sweeps (on the full
-// run's wire, the module-sharded step: every module's arbitration/access/
-// staging on exactly one thread) and is held to the same gate. The
+// run at the fixed fork-grain floor forks the rounds' wire build and reply
+// scan (the machine step itself always runs serially) and is held to the
+// same gate. The
 // throughput gate only applies to rows that the host can actually run in
 // parallel (1 < threads <= host CPUs): a full run requires those rows
 // strictly faster than serial, --smoke requires >= 0.95x (noise floor for
@@ -139,8 +139,7 @@ int main(int argc, char** argv) {
 
   bench::Json json = bench::Json::obj();
   json.set("experiment", "E17")
-      .set("title",
-           "thread scaling: module-sharded step + pipelined stream");
+      .set("title", "thread scaling: pipelined stream");
   bench::Json config = bench::Json::obj();
   config.set("n", n)
       .set("modules", s.numModules())
@@ -245,11 +244,9 @@ int main(int argc, char** argv) {
   if (!smoke) bench::writeJson(json_path, json);
   bench::footnote(
       "the stream pipeline overlaps batch k+1's addressing with batch k's "
-      "wire rounds; a round's sweeps fork only when its wire repays the "
-      "pool's calibrated fork overhead. Once forked, the sharded step "
-      "partitions the wire into per-module buckets (stable counting sort) "
-      "and gives every worker whole modules, so arbitration and access run "
-      "without atomics. Identity to serial is a hard gate at every thread "
-      "count and at the grain floor.");
+      "wire rounds; a round's wire build and reply scan fork only when its "
+      "wire repays the pool's calibrated fork overhead, and the machine "
+      "step is serial at every thread count. Identity to serial is a hard "
+      "gate at every thread count and at the grain floor.");
   return (all_identical && scaling_pass) ? 0 : 1;
 }

@@ -9,7 +9,7 @@
 namespace dsm::mpc {
 
 namespace {
-constexpr std::uint64_t kNoWinner = ~0ULL;  // Machine's idle arb_ value
+constexpr std::uint64_t kNoWinner = ~0ULL;  // idle arb_ value
 
 std::uint64_t arbKey(std::uint32_t processor, std::size_t request_index) {
   return (static_cast<std::uint64_t>(processor) << 32) |
@@ -26,8 +26,12 @@ void atomicMin(std::atomic<std::uint64_t>& target, std::uint64_t value) {
 
 ReferenceCycle::ReferenceCycle(Machine& machine)
     : machine_(machine),
+      arb_(machine.module_count_),
+      counts_(machine.module_count_),
       staged_(machine.module_count_),
-      sparse_(machine.eager_ ? 0 : machine.module_count_) {}
+      sparse_(machine.eager_ ? 0 : machine.module_count_) {
+  for (auto& a : arb_) a.store(kNoWinner, std::memory_order_relaxed);
+}
 
 void ReferenceCycle::checkInSync() const {
   DSM_CHECK_MSG(machine_.lifetimeCycles() == cycles_run_,
@@ -78,8 +82,6 @@ void ReferenceCycle::step(const std::vector<Request>& requests,
                           std::vector<Response>& responses) {
   checkInSync();
   Machine& mach = machine_;
-  auto& arb = mach.arb_;
-  auto& counts = mach.counts_;
   mach.applyDueFaultEvents();
   responses.assign(requests.size(), Response{});
   if (requests.empty()) return;
@@ -95,9 +97,9 @@ void ReferenceCycle::step(const std::vector<Request>& requests,
         responses[i].moduleFailed = true;
         continue;
       }
-      atomicMin(arb[static_cast<std::size_t>(requests[i].module)],
+      atomicMin(arb_[static_cast<std::size_t>(requests[i].module)],
                 arbKey(requests[i].processor, i));
-      counts[requests[i].module].fetch_add(1, std::memory_order_relaxed);
+      counts_[requests[i].module].fetch_add(1, std::memory_order_relaxed);
     }
   });
 
@@ -113,7 +115,7 @@ void ReferenceCycle::step(const std::vector<Request>& requests,
       const Request& r = requests[i];
       const std::size_t m = static_cast<std::size_t>(r.module);
       if (responses[i].moduleFailed) continue;
-      if (arb[m].load(std::memory_order_relaxed) != arbKey(r.processor, i)) {
+      if (arb_[m].load(std::memory_order_relaxed) != arbKey(r.processor, i)) {
         continue;
       }
       // FaultPlan drop noise: the port is consumed but the grant is lost;
@@ -177,7 +179,7 @@ void ReferenceCycle::step(const std::vector<Request>& requests,
     for (std::size_t i = lo; i < hi; ++i) {
       local_peak = std::max(
           local_peak,
-          counts[requests[i].module].load(std::memory_order_relaxed));
+          counts_[requests[i].module].load(std::memory_order_relaxed));
     }
     std::uint32_t cur = peak.load(std::memory_order_relaxed);
     while (local_peak > cur &&
@@ -187,8 +189,8 @@ void ReferenceCycle::step(const std::vector<Request>& requests,
   });
   mach.pool_.parallelFor(requests.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      arb[requests[i].module].store(kNoWinner, std::memory_order_relaxed);
-      counts[requests[i].module].store(0, std::memory_order_relaxed);
+      arb_[requests[i].module].store(kNoWinner, std::memory_order_relaxed);
+      counts_[requests[i].module].store(0, std::memory_order_relaxed);
     }
   });
 

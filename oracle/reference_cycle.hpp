@@ -3,12 +3,14 @@
 // in dsm_oracle, which production code never links.
 //
 // A ReferenceCycle drives one Machine: the machine's fault plan, failed
-// flags, arbitration scratch, load counters, metrics, lifetime clock and
-// interconnect (reached through the one friend declaration in
-// machine.hpp). It stages writes, and on a sparse machine keeps committed
-// cells, in the seed's per-module std::unordered_map tables, allocator
-// traffic included, so benchmarks compare against the true pre-overhaul
-// cycle. Dense committed cells live in the machine's flat array for both.
+// flags, load counters, metrics, lifetime clock and interconnect (reached
+// through the one friend declaration in machine.hpp). Its arbitration
+// scratch is its own: atomic per-module winner keys and load counts, which
+// its sweeps update concurrently on the machine's pool. It stages writes,
+// and on a sparse machine keeps committed cells, in the seed's per-module
+// std::unordered_map tables, allocator traffic included, so benchmarks
+// compare against the true pre-overhaul cycle. Dense committed cells live
+// in the machine's flat array for both.
 //
 // Staged (and sparse) state lives apart from the machine's own tables, so
 // a machine is driven either by Machine::step or by one ReferenceCycle,
@@ -17,6 +19,7 @@
 // otherwise.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -51,6 +54,8 @@ class ReferenceCycle {
   bool dropsGrant(std::uint64_t module) const;
 
   Machine& machine_;
+  std::vector<std::atomic<std::uint64_t>> arb_;     // lowest key per module
+  std::vector<std::atomic<std::uint32_t>> counts_;  // requests per module
   std::vector<Table> staged_;
   std::vector<Table> sparse_;  // committed cells when the machine is sparse
   std::uint64_t cycles_run_ = 0;

@@ -30,8 +30,8 @@ ctest --test-dir build -L perf --output-on-failure
 echo "== bench summary: committed BENCH_e*.json gate verdicts =="
 python3 scripts/bench_summary.py
 
-echo "== forced-scalar: faults-labelled suite on the soft-fallback kernels (DSM_FORCE_SCALAR=1) =="
-DSM_FORCE_SCALAR=1 ctest --test-dir build -L faults --output-on-failure
+echo "== forced-scalar: full suite on the soft-fallback kernels (DSM_FORCE_SCALAR=1) =="
+DSM_FORCE_SCALAR=1 ctest --preset default
 
 echo "== sanitized: configure + build + ctest (preset: ${asan_preset}) =="
 cmake --preset asan

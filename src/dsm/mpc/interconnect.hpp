@@ -9,9 +9,8 @@
 //
 //   * CrossbarInterconnect — the paper's MPC. Delivery is free; the backend
 //     reports zeroCost() and the Machine then NEVER collects winner sets or
-//     makes a virtual call on the cycle path — the three bit-identical step
-//     implementations (serial fused / module-sharded / atomic-min) run
-//     exactly as they do on a machine with no interconnect installed.
+//     makes a virtual call on the cycle path — the step runs exactly as it
+//     does on a machine with no interconnect installed.
 //   * ButterflyInterconnect — the bounded-degree setting of [AHMP87, HB88,
 //     Ran91]. Each cycle's post-arbitration winner set is routed through a
 //     d-dimensional net::Butterfly (oblivious bit-fixing, store-and-forward,

@@ -7,32 +7,20 @@
 //
 // Arbitration is deterministic: among the requests that target a module in
 // a cycle, the lowest processor id wins. This makes every simulation
-// reproducible and independent of the number of worker threads used to
-// execute a cycle (the winner is an associative/commutative min).
+// reproducible.
 //
-// Hot path: step() picks one of three arbitration strategies per cycle by
-// wire size and module count. All three elect the same winner (lowest
-// processor id wins is a pure min, however it is computed) and hand it to
-// ONE access kernel, accessWinner(): drop noise, then the read / stage /
-// commit / abort / repair, then the reply. Each participant tallies its
-// grants, drops and peak contention privately; closeCycle() folds the
-// merged tally into the metrics.
-//   * serial    — the pool would not fork: one validate+arbitrate+count
-//     sweep with plain relaxed ops and a candidate-winner cell prefetch.
-//   * atomic    — the pool forks and modules outnumber the wire: the same
-//     sweep, run concurrently with commutative atomic-min and counting.
-//     Both then run a winner-owned access sweep: only the unique winner of
-//     a module observes its own key, so it alone reads the contention
-//     count and clears the scratch slot.
-//   * sharded   — the pool forks and module_count < wire size: a stable
-//     counting sort buckets the wire by module (two parallel passes paired
-//     through the pool's fixed chunk partition), and parallelForShards
-//     hands each worker whole modules, so a module's arbitration and
-//     access run on one thread with no atomics. The per-module winner is a
-//     branch-free min-sweep over the bucket's keys (arb_sweep.hpp);
-//     DSM_FORCE_SCALAR keeps the compare-and-branch walk as its oracle.
-// The differential tests and E16 check all three against the seed's
-// five-sweep cycle, kept outside production code (DESIGN.md §6, §8).
+// Hot path: step() runs one serial cycle of two sweeps. Sweep 1 validates,
+// arbitrates (a running minimum of the arbitration key per module, with a
+// prefetch of the candidate winner's cell) and counts each module's
+// contention. Sweep 2 classifies every request; each module's winner reads
+// and resets the scratch it owns and runs the access kernel,
+// accessWinner(): drop noise, then the read / stage / commit / abort /
+// repair, then the reply. closeCycle() folds the cycle's grant, drop and
+// peak-contention tally into the metrics. The step never forks, so its
+// results do not depend on the machine's thread count; the pool (pool())
+// serves the protocol engines' wire loops. The differential tests and E16
+// check the step against the seed's five-sweep cycle, kept outside
+// production code (DESIGN.md §6, §8).
 //
 // Fault model: modules fail and heal under a scripted FaultPlan (per-cycle
 // events applied at step boundaries, so faults can strike mid-phase of a
@@ -41,7 +29,7 @@
 // back, exactly the scenario the timestamped majority rule [Tho79] is
 // designed to survive. The plan can additionally drop individual grants
 // with a per-module probability, decided by a deterministic hash of
-// (seed, cycle, module) so results stay thread-count independent.
+// (seed, cycle, module) so results stay reproducible.
 //
 // Two-phase writes: Op::kWrite only STAGES a (value, timestamp) pair in a
 // side table; the cell's committed contents are untouched until a matching
@@ -53,18 +41,17 @@
 // Interconnect seam: by default the machine IS the paper's MPC — a complete
 // processor↔module crossbar where delivery is free. setInterconnect()
 // installs a pluggable backend (see interconnect.hpp); for a zero-cost
-// backend (CrossbarInterconnect, or none) the cycle paths above run
-// untouched, with no winner collection and no virtual dispatch. A routed
-// backend (ButterflyInterconnect) receives each cycle's post-arbitration
-// winner set AFTER the access sweep and folds the bounded-degree delivery
-// cost into the network* metrics. Every cycle path leaves the winners in
-// the response flags — a request holds granted or dropped iff it won
-// arbitration at a live module — so the winner set is read straight off
-// them, one pass in wire order. Routing never changes responses or cell
+// backend (CrossbarInterconnect, or none) the cycle above runs untouched,
+// with no winner collection and no virtual dispatch. A routed backend
+// (ButterflyInterconnect) receives each cycle's post-arbitration winner
+// set AFTER the access sweep and folds the bounded-degree delivery cost
+// into the network* metrics. The cycle leaves the winners in the response
+// flags — a request holds granted or dropped iff it won arbitration at a
+// live module — so the winner set is read straight off them, one pass in
+// wire order. Routing never changes responses or cell
 // state — it prices the cycle, the paper's "request routing problem".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -129,8 +116,8 @@ struct MachineMetrics {
   std::uint64_t maxModuleQueue = 0;  ///< worst per-module contention seen
   std::uint64_t grantsDropped = 0;   ///< grants lost to FaultPlan drop noise
   // Bounded-degree interconnect cost (all zero under the default crossbar).
-  // Deterministic — a pure function of the wire history, identical at any
-  // thread count — so these DO belong in bit-identity comparisons between
+  // Deterministic — a pure function of the wire history — so these DO
+  // belong in bit-identity comparisons between
   // machines with the same backend installed.
   std::uint64_t networkCycles = 0;   ///< store-and-forward cycles, summed
   std::uint64_t networkPackets = 0;  ///< winners routed through the network
@@ -169,7 +156,7 @@ struct FaultPlan {
   /// Per-module overrides of grantDropProbability (same [0, 1) domain).
   std::vector<std::pair<std::uint64_t, double>> moduleDropOverrides;
   /// Seed for the deterministic drop decisions: a drop is a pure function
-  /// of (seed, cycle, module), independent of thread count.
+  /// of (seed, cycle, module).
   std::uint64_t seed = 0x5EEDULL;
 
   FaultPlan& failAt(std::uint64_t cycle, std::uint64_t module) {
@@ -200,7 +187,8 @@ struct FaultPlan {
 class Machine {
  public:
   /// slots_per_module == 0 selects sparse storage with unbounded slot ids
-  /// (used by baseline schemes that key slots by variable index).
+  /// (used by baseline schemes that key slots by variable index). `threads`
+  /// sizes pool(); step() itself always runs on the calling thread.
   Machine(std::uint64_t module_count, std::uint64_t slots_per_module,
           unsigned threads = 1);
   ~Machine();
@@ -261,7 +249,7 @@ class Machine {
 
   /// Installs a delivery backend for the processor↔module traffic (see
   /// interconnect.hpp). nullptr restores the default — the paper's complete
-  /// crossbar, delivery free. A zero-cost backend leaves every cycle path
+  /// crossbar, delivery free. A zero-cost backend leaves the cycle
   /// untouched (no winner collection, no virtual dispatch); a routed
   /// backend (e.g. ButterflyInterconnect) must cover moduleCount() and is
   /// handed each cycle's post-arbitration winner set after the access
@@ -301,30 +289,18 @@ class Machine {
   void applyDueFaultEvents();
   void resetTouchedScratch(const std::vector<Request>& requests);
   struct DropContext;  // this cycle's drop-noise inputs (machine.cpp)
-  struct CycleTally;   // one participant's grant/drop/peak counts
-  /// The access kernel every step() path runs for a module's winner:
-  /// drop noise, the op, the load counter, the reply, the tally.
+  struct CycleTally;   // this cycle's grant/drop/peak counts
+  /// The access kernel step() runs for a module's winner: drop noise, the
+  /// op, the load counter, the reply, the tally.
   void accessWinner(const Request& r, std::size_t module,
                     const DropContext& drops, Response& resp,
                     CycleTally& tally);
   /// Folds one finished cycle of n requests into the metrics and advances
   /// the lifetime clock.
   void closeCycle(std::size_t n, const CycleTally& tally);
-  /// Validate + arbitrate + count over wire entries [lo, hi); returns the
-  /// lowest invalid index in range (or ~0). kConcurrent selects atomic-min
-  /// and fetch_add for a sweep other participants run alongside.
-  template <bool kConcurrent>
-  std::uint64_t arbitrateRange(const Request* req, std::size_t lo,
-                               std::size_t hi);
-  /// The serial/atomic cycle (see file comment): sweep 1 validates,
-  /// arbitrates and counts; sweep 2 accesses, records the peak and resets
-  /// the scratch it owns.
-  void stepFused(const std::vector<Request>& requests,
-                 std::vector<Response>& responses);
-  /// The module-sharded cycle (see file comment). Preconditions: requests
-  /// nonempty, module_count_ < requests.size(), pool would fork.
-  void stepSharded(const std::vector<Request>& requests,
-                   std::vector<Response>& responses);
+  /// Sweep 1 of step(): validate + arbitrate + count over the wire;
+  /// returns the lowest invalid index (or ~0).
+  std::uint64_t arbitrate(const std::vector<Request>& requests);
   /// Routed-backend epilogue: reads the cycle's winner set off the response
   /// flags (granted || dropped — winners whose grant the drop noise lost
   /// still crossed the network) in wire order and hands it to the installed
@@ -345,27 +321,11 @@ class Machine {
   // Open-addressed with backward-shift erase: the stage/commit/abort churn
   // never allocates once the table is warm.
   std::vector<StagedTable> staged_;
-  // Per-module arbitration scratch: current best (lowest) processor id + the
-  // index of its request; reset lazily via the touched list. Used by the
-  // serial and atomic cycle paths only — the sharded path arbitrates inside
-  // each worker's private module range and needs no cross-thread scratch.
-  std::vector<std::atomic<std::uint64_t>> arb_;
-  std::vector<std::atomic<std::uint32_t>> counts_;  // per-module load scratch
-  // Sharded-cycle scratch, persistent across cycles: the counting sort
-  // scatters each wire index into its module's bucket (bucket module_count_
-  // collects invalid requests; stable, so the first entry there is the
-  // serial first offender). part_counts_ holds the per-participant count /
-  // scatter-offset arrays; the two passes pair up through the pool's fixed
-  // chunk partition (see ThreadPool::parallelFor's partition guarantee).
-  std::vector<std::uint32_t> bucket_entries_;  // wire indices, bucket order
-  // Arbitration keys scattered alongside bucket_entries_ (same positions),
-  // so per-module arbitration is a branch-free min over a contiguous u64
-  // run (see arb_sweep.hpp) instead of a compare-and-branch walk that
-  // re-derives each key from the wire. The key embeds its wire index, so
-  // the winner is uint32(min) — no argmin tracking.
-  std::vector<std::uint64_t> bucket_keys_;
-  std::vector<std::size_t> bucket_bounds_;     // module_count_ + 2 bounds
-  std::vector<std::size_t> part_counts_;
+  // Per-module arbitration scratch: current best (lowest) arbitration key
+  // and the module's request count this cycle; each winner resets its own
+  // module's slots in sweep 2.
+  std::vector<std::uint64_t> arb_;
+  std::vector<std::uint32_t> counts_;
   std::vector<std::uint8_t> failed_;  // fault flags, driven by plan + calls
   std::uint64_t failed_count_ = 0;
   std::vector<std::uint64_t> module_load_;  // grants per module (optional)

@@ -27,9 +27,8 @@ std::map<unsigned, std::size_t>& calibratedGrains() {
 }
 
 // The calibration's cheap sweep: a counting pass (load a key, bump its
-// bucket), the per-item shape of the lightest loops the pool runs (the
-// sharded step's count pass, sweep 1's arbitration). `counts` holds
-// kSweepBuckets entries.
+// bucket), cheaper per item than the loops the pool runs (DESIGN.md §9).
+// `counts` holds kSweepBuckets entries.
 constexpr std::size_t kSweepBuckets = 1024;
 
 void countingSweep(const std::vector<std::uint32_t>& keys,
@@ -180,38 +179,6 @@ void ThreadPool::parallelFor(std::size_t n, ParallelBody body) {
     return;
   }
   dispatch(n, (n + workers - 1) / workers, body);
-}
-
-void ThreadPool::parallelForShards(const std::size_t* bounds,
-                                   std::size_t buckets, ParallelBody body) {
-  if (buckets == 0) return;
-  const std::size_t total = bounds[buckets];
-  // Shard count follows the ITEM total (the actual work), not the bucket
-  // count: a thousand near-empty buckets are one shard's worth of work.
-  const std::size_t by_grain = std::max<std::size_t>(1, total / grain_);
-  const std::size_t shards =
-      std::min<std::size_t>({threads_, buckets, by_grain});
-  if (shards <= 1 || crew_.empty()) {
-    body(0, buckets);
-    return;
-  }
-  // Cut shard w where the item prefix first reaches total * w / shards: a
-  // binary search per cut over the nondecreasing bounds array. Cuts are
-  // nondecreasing because the targets are, so shard ranges partition
-  // [0, buckets) exactly (some possibly empty when a bucket dominates).
-  shard_cuts_.resize(shards + 1);
-  shard_cuts_[0] = 0;
-  shard_cuts_[shards] = buckets;
-  for (std::size_t w = 1; w < shards; ++w) {
-    const std::size_t target = total * w / shards;
-    shard_cuts_[w] = static_cast<std::size_t>(
-        std::lower_bound(bounds, bounds + buckets + 1, target) - bounds);
-  }
-  const std::size_t* cuts = shard_cuts_.data();
-  const auto run_shards = [cuts, body](std::size_t lo, std::size_t hi) {
-    for (std::size_t w = lo; w < hi; ++w) body(cuts[w], cuts[w + 1]);
-  };
-  dispatch(shards, 1, run_shards);
 }
 
 }  // namespace dsm::mpc

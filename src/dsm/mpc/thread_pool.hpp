@@ -5,8 +5,7 @@
 // to them through a generation counter instead of spawning threads per call,
 // so the per-call overhead is two condition-variable handshakes rather than
 // thread creation. No detach, no shared mutable state beyond the
-// caller-provided ranges; the MPC arbitration that runs under this pool uses
-// a commutative atomic-min so results are independent of the schedule.
+// caller-provided ranges.
 //
 // A fork must pay for itself: the fork grain (items per participant below
 // which a loop runs inline) is calibrated once per process and thread
@@ -34,8 +33,8 @@ namespace dsm::mpc {
 /// Non-owning reference to a `void(std::size_t, std::size_t)` callable (a
 /// function_ref): one object pointer and one call thunk, nothing allocated,
 /// nothing owned. The referenced callable must outlive every invocation —
-/// the pool only calls it inside parallelFor/parallelForShards, so passing a
-/// temporary lambda at the call site is safe.
+/// the pool only calls it inside parallelFor, so passing a temporary lambda
+/// at the call site is safe.
 class ParallelBody {
  public:
   ParallelBody() = default;
@@ -91,27 +90,14 @@ class ThreadPool {
   ///
   /// Partition guarantee: with W = partitionWidth(n) participants and
   /// chunk = ceil(n / W), participant w covers
-  /// [w * chunk, min(n, (w + 1) * chunk)). Bodies may recover their
-  /// participant index as lo / chunk — the module-sharded step's counting
-  /// sort relies on this to pair the count and scatter passes.
+  /// [w * chunk, min(n, (w + 1) * chunk)), so a caller can count the
+  /// chunks a loop ran in from partitionWidth(n) alone.
   void parallelFor(std::size_t n, ParallelBody body);
 
   /// Number of participants parallelFor(n, body) partitions [0, n) into
   /// (1 = the loop runs inline on the caller). Deterministic in n for a
   /// given pool: capped by the thread budget and by the pool's fork grain.
   std::size_t partitionWidth(std::size_t n) const noexcept;
-
-  /// Applies body(first_bucket, last_bucket) over a partition of `buckets`
-  /// contiguous buckets whose item boundaries are bounds[0 .. buckets]
-  /// (bucket b spans items [bounds[b], bounds[b+1]); bounds is
-  /// nondecreasing with bounds[0] == 0, so bounds[buckets] is the item
-  /// total). Shards are cut at bucket boundaries with near-equal ITEM
-  /// counts — a bucket is never split across participants, which is what
-  /// lets the module-sharded step run each module's arbitration and access
-  /// on exactly one thread with no atomics. Shard ranges handed to body may
-  /// be empty when one bucket dominates the item mass.
-  void parallelForShards(const std::size_t* bounds, std::size_t buckets,
-                         ParallelBody body);
 
   static unsigned defaultThreads() {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -146,7 +132,6 @@ class ThreadPool {
   std::uint64_t gen_ = 0;
   std::size_t pending_ = 0;
   bool stop_ = false;
-  std::vector<std::size_t> shard_cuts_;  // parallelForShards scratch
   std::vector<std::jthread> crew_;  // joins (and thus outlives jobs) last
 };
 

@@ -205,7 +205,11 @@ struct EngineMetrics {
   std::uint64_t cacheMisses = 0;
   /// Cache misses resolved through the batched Section-4 kernel and the
   /// number of scheme copiesBatch chunk calls that carried them; their
-  /// ratio is the average miss-lane occupancy (see CopyCache).
+  /// ratio is the average miss-lane occupancy (see CopyCache). The chunk
+  /// count depends on the process: on a multi-thread pool it follows the
+  /// pool's partition, whose width comes from the fork grain the process
+  /// calibrated, so two runs on one host can differ; a 1-thread pool
+  /// counts one chunk per batch.
   std::uint64_t addrBatchLanes = 0;
   std::uint64_t addrBatchChunks = 0;
   /// Scratch buffers whose capacity already fit the batch at preprocess

@@ -1,9 +1,9 @@
 // Runtime dispatch seam for the vectorized kernels (DESIGN.md §13).
 //
 // Every batched/SIMD kernel in this codebase (carryless-multiply field
-// arithmetic in gf/, the SoA Section-4 addressing sweep in graph/, the
-// arbitration min-sweep in mpc/) keeps its scalar predecessor as a
-// bit-identity oracle and consults this seam to pick a path:
+// arithmetic in gf/, the SoA Section-4 addressing sweep in graph/) keeps
+// its scalar predecessor as a bit-identity oracle and consults this seam to
+// pick a path:
 //
 //   * forceScalar()   — true when the process should run every kernel on its
 //     scalar oracle path. Set by the environment variable DSM_FORCE_SCALAR=1

@@ -7,9 +7,9 @@
 //     grants later lost to drop noise, excluding failed modules — and its
 //     cost is identical at every thread count;
 //   * install-time validation and resetMetrics interplay;
-//   * on every cycle path (serial fused, module-sharded, atomic-min and
-//     the reference cycle) the winner set handed to the backend is exactly
-//     the lowest processor id per live module, in wire order.
+//   * on every cycle path (Machine::step at 1 and 4 threads, and the
+//     reference cycle) the winner set handed to the backend is exactly the
+//     lowest processor id per live module, in wire order.
 #include "dsm/mpc/interconnect.hpp"
 
 #include <gtest/gtest.h>
@@ -190,8 +190,8 @@ TEST(Interconnect, FailedModulesRouteNothing) {
 
 TEST(Interconnect, NetworkMetricsIdenticalAcrossThreadCounts) {
   // The routed winner set is re-derived serially in wire order, so network
-  // figures are a pure function of the wire history — the sharded and
-  // atomic-min step paths must produce the exact same packets.
+  // figures are a pure function of the wire history — a machine with a
+  // wider pool must produce the exact same packets.
   auto run = [](unsigned threads) {
     Machine m(64, 64, threads);
     m.setInterconnect(std::make_unique<ButterflyInterconnect>(64));
@@ -311,12 +311,13 @@ TEST(Interconnect, WinnerSetIsLowestProcessorPerLiveModuleOnEveryPath) {
     unsigned threads;
     bool reference;
   };
-  // 1024-entry wires: the pool forks (4 participants) at 4 threads.
+  // 1024-entry wires: the reference cycle's pool forks (4 participants)
+  // at 4 threads.
   const std::size_t n = 1024;
   const Path paths[] = {
-      {"serial-fused", 64, 64, 1, false},
-      {"sharded", 64, 64, 4, false},         // modules < wire
-      {"atomic-min", 4096, 512, 4, false},   // modules >= wire
+      {"step/1-thread", 64, 64, 1, false},
+      {"step/4-thread/wire-outnumbers-modules", 64, 64, 4, false},
+      {"step/4-thread/modules-outnumber-wire", 4096, 512, 4, false},
       {"reference-cycle", 64, 64, 4, true},
   };
   for (const Path& path : paths) {

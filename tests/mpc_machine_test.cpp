@@ -2,14 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <mutex>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <utility>
 
-#include "dsm/mpc/arb_sweep.hpp"
 #include "dsm/util/assert.hpp"
-#include "dsm/util/kernel_dispatch.hpp"
 #include "dsm/util/rng.hpp"
 #include "oracle/reference_cycle.hpp"
 
@@ -88,7 +86,7 @@ TEST(Machine, AddressRangeChecked) {
 
 TEST(Machine, ArbitrationDeterministicAcrossThreadCounts) {
   // Same request stream, different worker counts: identical grants, cells
-  // and metrics (the atomic-min winner is schedule-independent).
+  // and metrics.
   util::Xoshiro256 rng(11);
   std::vector<std::vector<Request>> stream;
   for (int cyc = 0; cyc < 30; ++cyc) {
@@ -129,35 +127,11 @@ TEST(Machine, ArbitrationDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ArbMinSweep, MatchesSerialMinOnAllShapes) {
-  // The branch-free 4-way sweep must equal a plain serial min for every
-  // count shape (tail lengths 0..3 around the unroll) and for minima at
-  // every position, including duplicates of the non-minimal values.
-  util::Xoshiro256 rng(0xA5B);
-  for (std::size_t count = 1; count <= 70; ++count) {
-    std::vector<std::uint64_t> keys(count);
-    for (std::size_t pos = 0; pos < count; ++pos) {
-      for (std::size_t i = 0; i < count; ++i) {
-        keys[i] = 1 + rng.below(i % 3 == 0 ? 4 : ~0ULL - 1);
-      }
-      keys[pos] = 0;  // unique minimum at pos
-      EXPECT_EQ(arbMinSweep(keys.data(), count), 0u)
-          << "count=" << count << " pos=" << pos;
-      keys[pos] = rng.below(~0ULL);
-      const std::uint64_t want =
-          *std::min_element(keys.begin(), keys.end());
-      EXPECT_EQ(arbMinSweep(keys.data(), count), want) << "count=" << count;
-    }
-  }
-  // All-max input (the accumulator sentinel value must still be returned).
-  std::vector<std::uint64_t> all_max(9, ~0ULL);
-  EXPECT_EQ(arbMinSweep(all_max.data(), all_max.size()), ~0ULL);
-}
-
 TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
-  // Invalid addresses on the sharded path must report the lowest offending
-  // wire index (stable counting sort puts it first in the overflow bucket),
-  // exactly like the serial sweep, and must not poison later cycles.
+  // A 4-thread machine must report the lowest offending wire index of a
+  // wire denser than its modules (the shape the removed module-sharded
+  // path took), exactly like a 1-thread machine, and must not poison later
+  // cycles.
   std::vector<Request> reqs;
   for (int i = 0; i < 700; ++i) {
     reqs.push_back(Request{static_cast<std::uint32_t>(i),
@@ -166,16 +140,16 @@ TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
   }
   reqs[321].module = 99;  // first offender (bad module)
   reqs[450].slot = 99;    // later offender (bad slot)
-  std::string sharded_msg;
+  std::string threaded_msg;
   std::string serial_msg;
-  Machine sharded(16, 8, 4);
+  Machine threaded(16, 8, 4);
   Machine serial(16, 8, 1);
   std::vector<Response> resp;
   try {
-    sharded.step(reqs, resp);
+    threaded.step(reqs, resp);
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
-    sharded_msg = e.what();
+    threaded_msg = e.what();
   }
   try {
     serial.step(reqs, resp);
@@ -183,50 +157,39 @@ TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
   } catch (const util::CheckError& e) {
     serial_msg = e.what();
   }
-  EXPECT_EQ(sharded_msg, serial_msg);
-  EXPECT_NE(sharded_msg.find("module out of range"), std::string::npos)
-      << sharded_msg;
+  EXPECT_EQ(threaded_msg, serial_msg);
+  EXPECT_NE(threaded_msg.find("module out of range"), std::string::npos)
+      << threaded_msg;
   // Machine stays usable after the unwind.
   std::vector<Request> good{{3, 0, 0, Op::kWrite, 7, 2}};
-  sharded.step(good, resp);
+  threaded.step(good, resp);
   ASSERT_EQ(resp.size(), 1u);
   EXPECT_TRUE(resp[0].granted);
 }
 
-// Table-driven differential oracle: every step() cycle path — serial
-// fused, atomic-min, module-sharded, and sharded on the forced-scalar
-// arbitration walk — against the five-pass ReferenceCycle, on dense and
-// sparse storage, healthy and under a fail/heal script with grant drops.
-// Random all-op streams; every Response field, cell, staged entry,
-// deterministic metric, the lifetime clock and the per-module load must be
-// bit-identical. Each row checks through the public predicates that step()
-// really takes its path for every wire it runs; the tests below each run
-// the rows of one path.
-enum class CyclePath { kSerialFused, kAtomicMin, kSharded };
-
-struct CyclePathRow {
+// Table-driven differential oracle: step() against the five-pass
+// ReferenceCycle on 1- and 4-thread machines, wires sparse and dense over
+// the modules, dense and sparse storage, healthy and under a fail/heal
+// script with grant drops. Random all-op streams; every Response field,
+// cell, staged entry, deterministic metric, the lifetime clock and the
+// per-module load must be bit-identical.
+struct CycleRow {
   const char* name;
-  CyclePath path;
   std::uint64_t modules;
   std::uint64_t targeted;  // the wire hits modules [0, targeted)
   unsigned threads;
   std::size_t min_wire;  // wire length drawn from [min_wire, max_wire)
   std::size_t max_wire;
-  bool force_scalar;
 };
 
-constexpr CyclePathRow kCyclePathRows[] = {
-    {"serial-fused/1-thread", CyclePath::kSerialFused, 8, 8, 1, 0, 1024,
-     false},
-    // Below the fork grain a 4-thread pool runs sweep 1 inline too.
-    {"serial-fused/small-wire", CyclePath::kSerialFused, 8, 8, 4, 0, 512,
-     false},
-    {"atomic-min", CyclePath::kAtomicMin, 4096, 64, 4, 512, 1024, false},
-    {"sharded", CyclePath::kSharded, 16, 16, 4, 512, 1024, false},
-    {"sharded/force-scalar", CyclePath::kSharded, 16, 16, 4, 512, 1024, true},
+constexpr CycleRow kCycleRows[] = {
+    {"1-thread", 8, 8, 1, 0, 1024},
+    {"4-thread/small-wire", 8, 8, 4, 0, 512},
+    {"4-thread/modules-outnumber-wire", 4096, 64, 4, 512, 1024},
+    {"4-thread/wire-outnumbers-modules", 16, 16, 4, 512, 1024},
 };
 
-void expectRowMatchesReference(const CyclePathRow& row) {
+void expectRowMatchesReference(const CycleRow& row) {
   constexpr Op kOps[] = {Op::kRead, Op::kWrite, Op::kCommit, Op::kAbort,
                          Op::kRepair};
   constexpr std::uint64_t kSlots = 8;
@@ -261,24 +224,7 @@ void expectRowMatchesReference(const CyclePathRow& row) {
                                  kOps[rng.below(5)], rng.below(100),
                                  rng.below(8)});
         }
-        const bool forks = fast.pool().partitionWidth(n) > 1;
-        const bool dense_wire = fast.moduleCount() < n;
-        switch (row.path) {
-          case CyclePath::kSerialFused:
-            ASSERT_FALSE(forks) << "n=" << n;
-            break;
-          case CyclePath::kAtomicMin:
-            ASSERT_TRUE(forks && !dense_wire) << "n=" << n;
-            break;
-          case CyclePath::kSharded:
-            ASSERT_TRUE(forks && dense_wire) << "n=" << n;
-            break;
-        }
-        // The seam is read once per step on this (serial) thread, so
-        // toggling it around one machine's step is the safe pattern.
-        if (row.force_scalar) util::setForceScalarForTesting(true);
         fast.step(reqs, fast_resp);
-        util::clearForceScalarOverride();
         oracle.step(reqs, ref_resp);
         ASSERT_EQ(fast_resp.size(), ref_resp.size());
         for (std::size_t i = 0; i < n; ++i) {
@@ -320,34 +266,8 @@ void expectRowMatchesReference(const CyclePathRow& row) {
   }
 }
 
-// Runs every table row on `path` whose forced-scalar flag is `force_scalar`.
-void expectPathMatchesReference(CyclePath path, bool force_scalar) {
-  int rows_run = 0;
-  for (const CyclePathRow& row : kCyclePathRows) {
-    if (row.path != path || row.force_scalar != force_scalar) continue;
-    expectRowMatchesReference(row);
-    ++rows_run;
-  }
-  EXPECT_GT(rows_run, 0);
-}
-
-// Serial fused sweeps: one-thread pool, and small wires on a 4-thread pool.
 TEST(Machine, StepMatchesReferenceOnRandomStreams) {
-  expectPathMatchesReference(CyclePath::kSerialFused, false);
-}
-
-TEST(Machine, AtomicMinStepMatchesReference) {
-  expectPathMatchesReference(CyclePath::kAtomicMin, false);
-}
-
-TEST(Machine, ShardedStepMatchesReferenceOnSaturatedStreams) {
-  expectPathMatchesReference(CyclePath::kSharded, false);
-}
-
-// The forced-scalar walk matches the same oracle as the vectorized sharded
-// rows, so the two are bit-identical to each other.
-TEST(Machine, ShardedStepIdenticalUnderForceScalar) {
-  expectPathMatchesReference(CyclePath::kSharded, true);
+  for (const CycleRow& row : kCycleRows) expectRowMatchesReference(row);
 }
 
 // The oracle keeps its own staged and sparse tables, so it refuses a
@@ -368,7 +288,7 @@ TEST(Machine, ReferenceCycleRefusesAMachineStepAdvanced) {
 }
 
 TEST(Machine, StepUsableAfterAddressThrow) {
-  // The fused sweep records the first bad index and resets the scratch it
+  // Sweep 1 records the first bad index and step() resets the scratch it
   // touched before re-raising, so a failed step must not poison the next.
   Machine m(4, 8);
   std::vector<Request> bad{
@@ -487,65 +407,6 @@ TEST(ThreadPool, CalibratedGrainIsAtLeastTheFloorAndFixedPerPool) {
   EXPECT_EQ(ThreadPool(4).grain(), ThreadPool::kMinItemsPerWorker);
   ThreadPool serial(1);
   EXPECT_EQ(serial.partitionWidth(std::size_t{1} << 30), 1u);
-}
-
-TEST(ThreadPool, ShardsCoverEveryBucketExactlyOnce) {
-  // Skewed bucket sizes (including empty buckets and one huge bucket): the
-  // shard cuts land on bucket boundaries, every bucket index is visited by
-  // exactly one body call, and calls tile [0, buckets) in order.
-  ThreadPool pool(4);
-  constexpr std::size_t kBuckets = 37;
-  std::vector<std::size_t> bounds(kBuckets + 1, 0);
-  util::Xoshiro256 rng(99);
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const std::size_t size = b == 5    ? 4000  // dominates everything
-                             : b % 3 == 0 ? 0  // empty
-                                          : rng.below(64);
-    bounds[b + 1] = bounds[b] + size;
-  }
-  std::vector<std::atomic<int>> hits(kBuckets);
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  pool.parallelForShards(bounds.data(), kBuckets,
-                         [&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t b = lo; b < hi; ++b) {
-                             hits[b].fetch_add(1, std::memory_order_relaxed);
-                           }
-                           std::lock_guard<std::mutex> lock(mu);
-                           ranges.emplace_back(lo, hi);
-                         });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  std::sort(ranges.begin(), ranges.end());
-  std::size_t next = 0;
-  for (const auto& [lo, hi] : ranges) {
-    EXPECT_EQ(lo, next);
-    EXPECT_LE(lo, hi);
-    next = hi;
-  }
-  EXPECT_EQ(next, kBuckets);
-}
-
-TEST(ThreadPool, ShardsRunInlineBelowGrain) {
-  // Totals below the fork grain collapse to one inline call over all
-  // buckets on the dispatching thread.
-  ThreadPool pool(8);
-  const std::size_t bounds[] = {0, 10, 20, 30};
-  const auto self = std::this_thread::get_id();
-  std::thread::id seen;
-  int calls = 0;
-  pool.parallelForShards(bounds, 3, [&](std::size_t lo, std::size_t hi) {
-    seen = std::this_thread::get_id();
-    ++calls;
-    EXPECT_EQ(lo, 0u);
-    EXPECT_EQ(hi, 3u);
-  });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(seen, self);
-  // Zero buckets: the body must not run at all.
-  const std::size_t none[] = {0};
-  int ran = 0;
-  pool.parallelForShards(none, 0, [&](std::size_t, std::size_t) { ++ran; });
-  EXPECT_EQ(ran, 0);
 }
 
 }  // namespace

@@ -222,7 +222,7 @@ void expectStreamMatchesPerBatch(const Scheme& s,
 
 TEST(HotPath, MajorityStreamMatchesPerBatchExecute) {
   // PpScheme(1,5): 1023 modules against a ~2304-entry wire, so the
-  // module-sharded step path is engaged whenever threads > 1.
+  // engine's wire build and reply scan fork whenever threads > 1.
   expectStreamMatchesPerBatch<MajorityEngine>(scheme::PpScheme(1, 5),
                                               0xC0FFEE);
 }
