@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "dsm/util/assert.hpp"
+#include "dsm/util/kernel_dispatch.hpp"
 #include "dsm/util/rng.hpp"
 #include "oracle/reference_cycle.hpp"
 
@@ -172,7 +173,8 @@ TEST(Machine, ShardedStepFirstOffenderMatchesSerial) {
 // the modules, dense and sparse storage, healthy and under a fail/heal
 // script with grant drops. Random all-op streams; every Response field,
 // cell, staged entry, deterministic metric, the lifetime clock and the
-// per-module load must be bit-identical.
+// per-module load must be bit-identical. The tests below each run the rows
+// of one wire shape.
 struct CycleRow {
   const char* name;
   std::uint64_t modules;
@@ -180,14 +182,17 @@ struct CycleRow {
   unsigned threads;
   std::size_t min_wire;  // wire length drawn from [min_wire, max_wire)
   std::size_t max_wire;
+  bool force_scalar;  // step() runs with util::forceScalar() on
 };
 
-constexpr CycleRow kCycleRows[] = {
-    {"1-thread", 8, 8, 1, 0, 1024},
-    {"4-thread/small-wire", 8, 8, 4, 0, 512},
-    {"4-thread/modules-outnumber-wire", 4096, 64, 4, 512, 1024},
-    {"4-thread/wire-outnumbers-modules", 16, 16, 4, 512, 1024},
+constexpr CycleRow kSmallWireRows[] = {
+    {"1-thread", 8, 8, 1, 0, 1024, false},
+    {"4-thread/small-wire", 8, 8, 4, 0, 512, false},
 };
+constexpr CycleRow kModulesOutnumberWireRow = {
+    "4-thread/modules-outnumber-wire", 4096, 64, 4, 512, 1024, false};
+constexpr CycleRow kWireOutnumbersModulesRow = {
+    "4-thread/wire-outnumbers-modules", 16, 16, 4, 512, 1024, false};
 
 void expectRowMatchesReference(const CycleRow& row) {
   constexpr Op kOps[] = {Op::kRead, Op::kWrite, Op::kCommit, Op::kAbort,
@@ -224,7 +229,11 @@ void expectRowMatchesReference(const CycleRow& row) {
                                  kOps[rng.below(5)], rng.below(100),
                                  rng.below(8)});
         }
+        // The seam is read on this (serial) thread only, so toggling it
+        // around one machine's step is the safe pattern.
+        if (row.force_scalar) util::setForceScalarForTesting(true);
         fast.step(reqs, fast_resp);
+        util::clearForceScalarOverride();
         oracle.step(reqs, ref_resp);
         ASSERT_EQ(fast_resp.size(), ref_resp.size());
         for (std::size_t i = 0; i < n; ++i) {
@@ -267,7 +276,28 @@ void expectRowMatchesReference(const CycleRow& row) {
 }
 
 TEST(Machine, StepMatchesReferenceOnRandomStreams) {
-  for (const CycleRow& row : kCycleRows) expectRowMatchesReference(row);
+  for (const CycleRow& row : kSmallWireRows) expectRowMatchesReference(row);
+}
+
+// Many modules, few requests each: the shape an atomic-min winner sweep
+// once served; step() must still match the oracle on it.
+TEST(Machine, AtomicMinStepMatchesReference) {
+  expectRowMatchesReference(kModulesOutnumberWireRow);
+}
+
+// Saturated wires, many requests per module: the shape a module-sharded
+// cycle once served.
+TEST(Machine, ShardedStepMatchesReferenceOnSaturatedStreams) {
+  expectRowMatchesReference(kWireOutnumbersModulesRow);
+}
+
+// The soft-fallback dispatch mode must not change a cycle: the saturated
+// row matches the same oracle with util::forceScalar() on.
+TEST(Machine, ShardedStepIdenticalUnderForceScalar) {
+  CycleRow row = kWireOutnumbersModulesRow;
+  row.name = "4-thread/wire-outnumbers-modules/force-scalar";
+  row.force_scalar = true;
+  expectRowMatchesReference(row);
 }
 
 // The oracle keeps its own staged and sparse tables, so it refuses a
